@@ -2,10 +2,11 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// Measures the pipeline's multi-detector fan-out: the wall-clock of running
-// WCP + HB + Eraser one after another (three sequential full-trace
-// analyses, the pre-pipeline workflow) against one parallel pipeline run
-// with the same three lanes sharing a single trace residency.
+// Measures the multi-detector fan-out: the wall-clock of running WCP + HB +
+// Eraser one after another (three sequential full-trace analyses) against
+// one analyzeTrace run with the same three lanes sharing a single trace
+// residency ("parallel": one consumer thread per lane; "var_sharded": each
+// lane's checks split across --shards per-variable shards on the pool).
 //
 // Results are emitted as JSON to stdout and to BENCH_pipeline.json (or
 // --out PATH) so the perf trajectory is machine-readable across PRs. The
@@ -32,9 +33,9 @@
 // seconds; "metrics_overhead" re-runs the streamed sequential session
 // with metrics enabled vs disabled (min-of-3) and fails the bench when
 // the enabled wall exceeds the disabled one by more than 5% (and 20ms);
-// "scaling" sweeps the parallel fan-out across 1/2/4/8 workers.
+// "scaling" sweeps the var-sharded fan-out across 1/2/4/8 pool workers.
 //
-// The "late_declaration" section is the restart-heavy workload: a
+// The "late_declaration" section is the growth-heavy workload: a
 // declaration-dense trace (--late-workload, default "eclipse": thousands
 // of lock/thread names first mentioned deep into the stream) scaled to
 // the same event target, round-tripped as *text* — every name declares
@@ -42,8 +43,7 @@
 // declared-up-front *binary* path on the same trace. It reports the
 // text/binary wall ratio (growable detector state keeps the two in the
 // same overlap envelope; on multi-core hosts both walls sit on the
-// slowest lane) and the total restart count, which is structurally 0 —
-// a nonzero count fails the bench.
+// slowest lane); diverging reports fail the bench.
 //
 // The "syncp" section benchmarks the sync-preserving lane on its own
 // random-program trace (reduced event count: the SP-closure re-decides
@@ -82,7 +82,6 @@
 #include "lockset/EraserDetector.h"
 #include "obs/Metrics.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "serve/RaceServer.h"
 #include "serve/WireClient.h"
 #include "support/Json.h"
@@ -264,20 +263,27 @@ int main(int Argc, char **Argv) {
                std::to_string(R.Report.numDistinctPairs()) + "}";
   }
 
-  // Pipeline: same three detectors, one fan-out, Threads workers.
-  PipelineOptions Opts;
-  Opts.NumThreads = Threads;
-  AnalysisPipeline Pipeline(Opts);
-  for (LaneSpec &L : Lanes)
-    Pipeline.addDetector(L.Make, L.Name);
-  PipelineResult P = Pipeline.run(T);
+  // One analyzeTrace run over the same three lanes.
+  auto fanOut = [&](RunMode Mode, uint32_t VarShards, unsigned Workers) {
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    Cfg.VarShards = VarShards;
+    Cfg.Threads = Workers;
+    for (LaneSpec &L : Lanes)
+      Cfg.addDetector(L.Make, L.Name);
+    return analyzeTrace(Cfg, T);
+  };
+
+  // Fan-out: same three detectors, one trace residency, a consumer thread
+  // per lane.
+  AnalysisResult P = fanOut(RunMode::Sequential, 0, Threads);
   bool LaneFailed = false;
   // A failed lane's report is partial/empty; recording it as a measurement
   // would silently corrupt the cross-PR perf trajectory — fail the bench.
-  auto laneJson = [&LaneFailed](const LaneResult &L, const char *Mode) {
-    if (!L.Error.empty()) {
+  auto laneJson = [&LaneFailed](const LaneReport &L, const char *Mode) {
+    if (!L.LaneStatus.ok()) {
       std::fprintf(stderr, "error: %s lane %s failed: %s\n", Mode,
-                   L.DetectorName.c_str(), L.Error.c_str());
+                   L.DetectorName.c_str(), L.LaneStatus.str().c_str());
       LaneFailed = true;
       return std::string();
     }
@@ -289,7 +295,7 @@ int main(int Argc, char **Argv) {
            std::to_string(L.Report.numDistinctPairs()) + "}";
   };
   std::string ParJson;
-  for (const LaneResult &L : P.Lanes) {
+  for (const LaneReport &L : P.Lanes) {
     std::string One = laneJson(L, "parallel");
     if (One.empty())
       continue;
@@ -298,22 +304,16 @@ int main(int Argc, char **Argv) {
     ParJson += One;
   }
 
-  // Var-sharded pipeline: same lanes, each split into a clock pass plus
+  // Var-sharded fan-out: same lanes, each split into a clock pass plus
   // per-variable check shards (bit-identical reports; see
   // detect/ShardedAccessHistory.h). This is the knob that attacks the
   // slowest-lane bound of the plain fan-out.
   std::string VarJson;
   double VarSeconds = 0;
   if (Shards > 0) {
-    PipelineOptions VOpts;
-    VOpts.NumThreads = Threads;
-    VOpts.VarShards = Shards;
-    AnalysisPipeline VarPipeline(VOpts);
-    for (LaneSpec &L : Lanes)
-      VarPipeline.addDetector(L.Make, L.Name);
-    PipelineResult V = VarPipeline.run(T);
-    VarSeconds = V.Seconds;
-    for (const LaneResult &L : V.Lanes) {
+    AnalysisResult V = fanOut(RunMode::VarSharded, Shards, Threads);
+    VarSeconds = V.WallSeconds;
+    for (const LaneReport &L : V.Lanes) {
       std::string One = laneJson(L, "varshard");
       if (One.empty())
         continue;
@@ -322,7 +322,7 @@ int main(int Argc, char **Argv) {
       VarJson += One;
     }
     std::fprintf(stderr, "var-sharded wall %.2fs (%u shard(s)/lane)\n",
-                 V.Seconds, Shards);
+                 V.WallSeconds, Shards);
   }
 
   // Streamed sessions vs batch: write the trace to a binary file once,
@@ -548,15 +548,13 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    // Late-declaration section: the restart-heavy workload. A
+    // Late-declaration section: the growth-heavy workload. A
     // declaration-dense trace's text form declares every thread/lock/
-    // variable/location lazily, at its first mention mid-stream — the
-    // case that used to force text inputs to buffer to EOF (and push
-    // sessions to rebuild-and-replay). Growable detector state streams
-    // it chunk by chunk like a binary file, so the section compares
-    // streamed *text* ingestion (thousands of mid-stream declarations)
-    // against the declared-up-front *binary* path on the same trace, and
-    // counts restarts (structurally 0).
+    // variable/location lazily, at its first mention mid-stream.
+    // Growable detector state streams it chunk by chunk like a binary
+    // file, so the section compares streamed *text* ingestion (thousands
+    // of mid-stream declarations) against the declared-up-front *binary*
+    // path on the same trace.
     {
       WorkloadSpec LateSpec = workloadSpec(LateWorkload);
       Trace LateTrace = makeWorkload(
@@ -600,7 +598,6 @@ int main(int Argc, char **Argv) {
       double BinWall = 0, TextWall = 0;
       AnalysisResult BinRun = runSession(LateBinPath, BinWall);
       AnalysisResult TextRun = runSession(TextPath, TextWall);
-      uint64_t Restarts = 0;
       bool LateOk = BinRun.ok() && TextRun.ok();
       if (!LateOk)
         std::fprintf(stderr, "error: late_declaration section failed: %s\n",
@@ -610,7 +607,6 @@ int main(int Argc, char **Argv) {
       for (size_t L = 0; LateOk && L != TextRun.Lanes.size(); ++L) {
         const LaneReport &TL = TextRun.Lanes[L];
         const LaneReport &BL = BinRun.Lanes[L];
-        Restarts += TL.Restarts + BL.Restarts;
         if (TL.Report.numDistinctPairs() != BL.Report.numDistinctPairs() ||
             TL.Report.numInstances() != BL.Report.numInstances()) {
           std::fprintf(stderr,
@@ -630,21 +626,13 @@ int main(int Argc, char **Argv) {
                      "\", \"races\": " +
                      std::to_string(TL.Report.numDistinctPairs()) + "}";
       }
-      if (LateOk && Restarts != 0) {
-        // Zero restarts is a structural invariant now; a nonzero count
-        // means the growable-state machinery regressed — fail the bench.
-        std::fprintf(stderr,
-                     "error: late_declaration counted %llu restart(s)\n",
-                     (unsigned long long)Restarts);
-        LateOk = false;
-      }
       if (!LateOk) {
         LaneFailed = true;
       } else {
         double Ratio = BinWall > 0 ? TextWall / BinWall : 0;
         std::fprintf(stderr,
                      "late_declaration text wall %.2fs vs binary wall "
-                     "%.2fs (ratio %.3f), 0 restarts\n",
+                     "%.2fs (ratio %.3f)\n",
                      TextWall, BinWall, Ratio);
         if (Ratio > 1.1)
           // The tracked target is <= 1.10. A single-core host cannot hide
@@ -661,7 +649,6 @@ int main(int Argc, char **Argv) {
                    ", \"text_wall_seconds\": " + jsonNum(TextWall) +
                    ", \"binary_wall_seconds\": " + jsonNum(BinWall) +
                    ", \"text_over_binary_ratio\": " + jsonNum(Ratio) +
-                   ", \"restarts\": " + std::to_string(Restarts) +
                    ", \"lanes\": [" + LanesJson + "]}";
       }
       std::remove(TextPath.c_str());
@@ -670,36 +657,34 @@ int main(int Argc, char **Argv) {
     std::remove(TracePath.c_str());
   }
 
-  // Thread-scaling sweep: the same three-lane parallel fan-out at 1, 2,
-  // 4 and 8 workers. With three lanes the plain fan-out plateaus at
-  // three-way concurrency (the slowest-lane bound); the curve makes that
-  // plateau — and any regression in it — visible across PRs.
+  // Thread-scaling sweep: the three-lane var-sharded fan-out (--shards
+  // per lane, at least one) at 1, 2, 4 and 8 pool workers. The pool runs
+  // the shard checks, so this is the mode whose wall should fall with the
+  // worker count; the curve makes that scaling — and any regression in
+  // it — visible across PRs.
   std::string ScalingJson;
   {
     double Base = 0;
     for (unsigned N : {1u, 2u, 4u, 8u}) {
-      PipelineOptions SOpts;
-      SOpts.NumThreads = N;
-      AnalysisPipeline ScalePipeline(SOpts);
-      for (LaneSpec &L : Lanes)
-        ScalePipeline.addDetector(L.Make, L.Name);
-      PipelineResult SR = ScalePipeline.run(T);
-      for (const LaneResult &L : SR.Lanes)
-        if (!L.Error.empty()) {
+      AnalysisResult SR =
+          fanOut(RunMode::VarSharded, std::max<uint32_t>(Shards, 1), N);
+      for (const LaneReport &L : SR.Lanes)
+        if (!L.LaneStatus.ok()) {
           std::fprintf(stderr, "error: scaling lane %s failed at %u "
                        "thread(s): %s\n",
-                       L.DetectorName.c_str(), N, L.Error.c_str());
+                       L.DetectorName.c_str(), N,
+                       L.LaneStatus.str().c_str());
           LaneFailed = true;
         }
       if (N == 1)
-        Base = SR.Seconds;
-      double ScaleSpeedup = SR.Seconds > 0 ? Base / SR.Seconds : 0;
+        Base = SR.WallSeconds;
+      double ScaleSpeedup = SR.WallSeconds > 0 ? Base / SR.WallSeconds : 0;
       std::fprintf(stderr, "scaling %u thread(s): %.2fs wall (%.2fx)\n", N,
-                   SR.Seconds, ScaleSpeedup);
+                   SR.WallSeconds, ScaleSpeedup);
       if (!ScalingJson.empty())
         ScalingJson += ", ";
       ScalingJson += "{\"threads\": " + std::to_string(N) +
-                     ", \"wall_seconds\": " + jsonNum(SR.Seconds) +
+                     ", \"wall_seconds\": " + jsonNum(SR.WallSeconds) +
                      ", \"speedup\": " + jsonNum(ScaleSpeedup) + "}";
     }
   }
@@ -913,12 +898,11 @@ int main(int Argc, char **Argv) {
     std::remove(SCfg.SocketPath.c_str());
   }
 
-  double Speedup = P.Seconds > 0 ? SeqTotal / P.Seconds : 0;
+  double Speedup = P.WallSeconds > 0 ? SeqTotal / P.WallSeconds : 0;
   std::fprintf(stderr,
-               "sequential total %.2fs, pipeline wall %.2fs -> %.2fx "
-               "speedup (%llu task(s) stolen)\n",
-               SeqTotal, P.Seconds, Speedup,
-               (unsigned long long)P.TasksStolen);
+               "sequential total %.2fs, fan-out wall %.2fs -> %.2fx "
+               "speedup\n",
+               SeqTotal, P.WallSeconds, Speedup);
 
   std::string Json;
   Json += "{\n";
@@ -932,7 +916,7 @@ int main(int Argc, char **Argv) {
           ",\n";
   Json += "  \"sequential\": {\"total_seconds\": " + jsonNum(SeqTotal) +
           ", \"runs\": [" + SeqJson + "]},\n";
-  Json += "  \"parallel\": {\"wall_seconds\": " + jsonNum(P.Seconds) +
+  Json += "  \"parallel\": {\"wall_seconds\": " + jsonNum(P.WallSeconds) +
           ", \"lane_seconds_total\": " + jsonNum(P.laneSecondsTotal()) +
           ", \"tasks_stolen\": " + std::to_string(P.TasksStolen) +
           ", \"shards\": " + std::to_string(P.NumShards) + ", \"lanes\": [" +

@@ -22,7 +22,6 @@
 #include "gen/Workloads.h"
 #include "io/TraceFile.h"
 #include "obs/Metrics.h"
-#include "pipeline/ChunkedReader.h"
 #include "serve/ReportCanon.h"
 #include "support/Json.h"
 #include "support/TablePrinter.h"
@@ -51,7 +50,6 @@ struct Options {
   bool RunEraser = false;
   bool RunSyncP = false;
   bool ShowStats = false;
-  bool Pipeline = false;
   bool Stream = false;
   bool Json = false;
   bool Balanced = false;
@@ -98,10 +96,8 @@ void printHelp() {
       "                 mode (sequential lanes consume published chunks,\n"
       "                 windows dispatch as their range arrives, the\n"
       "                 var-sharded clock pass + shard checks run behind\n"
-      "                 the reader). Requires a trace file; binary traces\n"
-      "                 overlap chunk by chunk, text publishes at EOF\n"
-      "  --pipeline     batch mode with chunked (bounded-memory) "
-      "ingestion\n"
+      "                 the reader). Requires a trace file; binary and\n"
+      "                 text traces both publish chunk by chunk\n"
       "  --threads N    worker threads (0 or default: hardware "
       "concurrency)\n"
       "\n"
@@ -241,8 +237,6 @@ int main(int Argc, char **Argv) {
       Opts.RunSyncP = true;
     else if (Arg == "--stats")
       Opts.ShowStats = true;
-    else if (Arg == "--pipeline")
-      Opts.Pipeline = true;
     else if (Arg == "--stream")
       Opts.Stream = true;
     else if (Arg == "--json")
@@ -310,8 +304,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (!Opts.TraceOut.empty() && !Opts.Stream) {
-    // The timeline records the streaming pipeline's stages; batch runs
-    // have no recorder threaded through them.
+    // The timeline is exported from the session object, which only the
+    // streamed path keeps; the one-shot analyzeTrace returns a result.
     std::fprintf(stderr, "error: --trace-out requires --stream\n");
     return 1;
   }
@@ -405,12 +399,8 @@ int main(int Argc, char **Argv) {
                     "'mergesort' workload model\n\n");
       Batch = makeWorkload(workloadSpec("mergesort"));
     } else {
-      // Pipeline mode ingests in streaming chunks so raw file bytes
-      // never fully materialize; the classic path keeps the one-shot
-      // loader.
       Timer Ingest;
-      TraceLoadResult Load = Opts.Pipeline ? loadTraceFileChunked(Opts.Path)
-                                           : loadTraceFile(Opts.Path);
+      TraceLoadResult Load = loadTraceFile(Opts.Path);
       if (!Load.Ok) {
         std::fprintf(stderr, "error: %s\n", Load.status().str().c_str());
         return 1;
@@ -515,7 +505,7 @@ int main(int Argc, char **Argv) {
     LaneFailed = true;
   }
 
-  if (Opts.Pipeline || Opts.Stream || Opts.Window > 0 || Opts.Shards > 0) {
+  if (Opts.Stream || Opts.Window > 0 || Opts.Shards > 0) {
     std::printf("\npipeline: %u thread(s), %llu shard(s), %llu var "
                 "shard(s)/lane%s\n",
                 R.ThreadsUsed, (unsigned long long)R.NumShards,

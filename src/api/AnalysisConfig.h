@@ -6,12 +6,10 @@
 ///
 /// \file
 /// The single declarative configuration object behind every analysis entry
-/// point. What used to be scattered across runDetector / runDetectorWindowed
-/// / runDetectorSharded signatures and PipelineOptions flag combinations —
-/// detector selection, run mode, thread count, window size, shard count and
-/// shard strategy — is one AnalysisConfig with one validate() that rejects
-/// inconsistent combinations up front with a structured Status, instead of
-/// each entry point silently interpreting its own corner cases.
+/// point: detector selection, run mode, thread count, window size, shard
+/// count and shard strategy are one AnalysisConfig with one validate() that
+/// rejects inconsistent combinations up front with a structured Status,
+/// instead of each entry point silently interpreting its own corner cases.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
 /// FastTrack, Eraser) or by custom factory, and selects exactly one run
@@ -33,7 +31,8 @@
 ///               the published prefix.
 ///
 /// Every mode is available both as a one-shot batch run (analyzeTrace)
-/// and as a streaming session (AnalysisSession) with identical reports.
+/// and as a streaming session (AnalysisSession) — one engine, so the
+/// reports are identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,10 +79,10 @@ struct DetectorSpec {
 struct AnalysisConfig {
   std::vector<DetectorSpec> Detectors;
   RunMode Mode = RunMode::Sequential;
-  /// Worker threads (0 = hardware concurrency) for the batch engines and
-  /// for the session thread pool that runs Windowed window tasks /
-  /// VarSharded shard-check tasks. Sequential/Fused sessions run one
-  /// consumer thread per lane (one total for Fused) regardless.
+  /// Worker threads (0 = hardware concurrency) of the thread pool that
+  /// runs Windowed window tasks / VarSharded shard-check tasks. Unused in
+  /// Sequential/Fused mode, which run one consumer thread per lane (one
+  /// total for Fused) in every entry point.
   unsigned Threads = 0;
   /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
   uint64_t WindowEvents = 0;

@@ -5,11 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one result type of the analysis API, superseding the RunResult /
-/// PipelineResult / LaneResult trio: per-lane reports with structured
-/// per-lane statuses, plus run-wide timings and telemetry. The legacy
-/// types survive as adapters (detect/DetectorRunner.h) so existing callers
-/// keep their contracts, but new code should consume this.
+/// The one result type of the analysis API: per-lane reports with
+/// structured per-lane statuses, plus run-wide timings and telemetry.
+/// (detect/DetectorRunner.h's RunResult is the oracles' plain shape.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,15 +42,6 @@ struct LaneReport {
   /// — events the capture clock pass walked (Report covers the possibly
   /// smaller fully-checked frontier mid-stream).
   uint64_t EventsConsumed = 0;
-  /// Deprecated; structurally 0. Streaming lanes used to rebuild their
-  /// analysis state and replay the stable prefix when id tables grew
-  /// mid-stream, counted here. Detector state is growable now (implicit-
-  /// zero vector clocks, grow-on-first-touch histories and lockset
-  /// tables), so mid-stream thread/lock/variable declarations are O(1)
-  /// metadata updates and no lane ever restarts. The field survives one
-  /// deprecation cycle so telemetry consumers (bench's invariant check)
-  /// keep reading it; race_cli --json no longer emits it per lane.
-  uint64_t Restarts = 0;
   /// This lane's metrics (names relative to the lane: "consume_ns",
   /// "batches", "lag_events_peak", ...) plus whatever the detector itself
   /// reports via Detector::telemetry() ("wcp.queue_peak_abstract", ...).
@@ -72,7 +61,7 @@ struct AnalysisResult {
   double IngestSeconds = 0;
   uint64_t NumShards = 1;   ///< Windowed mode: window count.
   uint64_t VarShards = 0;   ///< Var-sharded mode: shards per lane.
-  uint64_t TasksStolen = 0; ///< Batch engines: work-stealing telemetry.
+  uint64_t TasksStolen = 0; ///< Pool-backed modes: work-stealing telemetry.
   unsigned ThreadsUsed = 1;
   /// True for partialResult() snapshots: lanes are mid-stream, reports
   /// cover a prefix of the ingested events and finish() has not run.
@@ -83,7 +72,7 @@ struct AnalysisResult {
   /// was still appending (every session run; false for the one-shot batch
   /// analyzeTrace).
   bool Streamed = false;
-  /// Session/pipeline-level metrics (producer, publication, pool:
+  /// Session-level metrics (producer, publication, pool:
   /// "ingest.parse_ns", "publish.batches", "pool.steals", ...). Per-lane
   /// metrics live in each LaneReport::Telemetry. Empty when
   /// AnalysisConfig::Metrics is false. Sorted by name.

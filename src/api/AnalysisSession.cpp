@@ -14,7 +14,10 @@
 // on a consumer's per-event path. All per-lane state shared with
 // partialResult() sits behind a per-lane snapshot mutex.
 //
-// Every run mode streams:
+// This is the repo's one analysis engine: analyzeTrace() is a session
+// whose store adopts the caller's complete trace in place (adoptTrace), so
+// batch and streaming runs share every consumer below. Every run mode
+// streams:
 //
 //   Sequential   one consumer thread per lane, each running its detector
 //                over published ranges in place (sequentialConsumer);
@@ -37,8 +40,7 @@
 // implicit-zero vector clocks, grow-on-first-touch access histories,
 // lockset and queue tables — so a lane built against a prefix of the id
 // tables keeps analyzing bit-for-bit with one built against the final
-// tables. The rebuild-and-replay restart machinery this file used to
-// carry is gone; LaneReport::Restarts is structurally 0.
+// tables; no lane ever rebuilds or replays.
 //
 // Table visibility: the producer interns ids and validates under M
 // *before* appending to the store (publishLocked runs with M held), so a
@@ -58,7 +60,6 @@
 #include "obs/Metrics.h"
 #include "obs/TraceRecorder.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "support/GuardedTask.h"
 #include "support/PublishedStore.h"
 #include "support/ThreadPool.h"
@@ -76,18 +77,6 @@
 using namespace rapid;
 
 namespace {
-
-/// Maps a validated config onto the batch pipeline engine (analyzeTrace).
-PipelineOptions pipelineOptionsFor(const AnalysisConfig &Cfg) {
-  PipelineOptions Opts;
-  Opts.NumThreads = Cfg.Threads;
-  Opts.Parallel = Cfg.Mode != RunMode::Fused;
-  Opts.ShardEvents = Cfg.Mode == RunMode::Windowed ? Cfg.WindowEvents : 0;
-  Opts.VarShards = Cfg.Mode == RunMode::VarSharded ? Cfg.VarShards : 0;
-  Opts.VarShardStrategy = Cfg.Strategy;
-  Opts.Metrics = Cfg.Metrics;
-  return Opts;
-}
 
 /// Converts stage seconds to the integer nanoseconds the *_ns metrics use.
 uint64_t toNs(double Seconds) {
@@ -109,58 +98,7 @@ void lockCharged(std::unique_lock<std::mutex> &Lk, Counter WaitNs) {
   }
 }
 
-AnalysisPipeline buildPipeline(const AnalysisConfig &Cfg) {
-  AnalysisPipeline P(pipelineOptionsFor(Cfg));
-  for (const DetectorSpec &S : Cfg.Detectors) {
-    DetectorFactory Make =
-        S.Kind == DetectorKind::Custom ? S.Make : makeDetectorFactory(S.Kind);
-    P.addDetector(std::move(Make), S.Name);
-  }
-  return P;
-}
-
-/// Converts the pipeline's result into the unified type; stringly lane
-/// errors become structured AnalysisError statuses.
-AnalysisResult convertPipelineResult(PipelineResult &&R, uint64_t NumEvents) {
-  AnalysisResult Out;
-  Out.Lanes.reserve(R.Lanes.size());
-  for (LaneResult &L : R.Lanes) {
-    LaneReport Lane;
-    Lane.DetectorName = std::move(L.DetectorName);
-    Lane.Report = std::move(L.Report);
-    Lane.Seconds = L.Seconds;
-    if (!L.Error.empty())
-      Lane.LaneStatus = Status(StatusCode::AnalysisError, std::move(L.Error));
-    else
-      Lane.EventsConsumed = NumEvents;
-    Lane.Telemetry = std::move(L.Telemetry);
-    Out.Lanes.push_back(std::move(Lane));
-  }
-  Out.EventsIngested = NumEvents;
-  Out.WallSeconds = R.Seconds;
-  Out.IngestSeconds = R.IngestSeconds;
-  Out.NumShards = R.NumShards;
-  Out.VarShards = R.VarShards;
-  Out.TasksStolen = R.TasksStolen;
-  Out.ThreadsUsed = R.ThreadsUsed;
-  return Out;
-}
-
-} // namespace
-
-AnalysisResult rapid::analyzeTrace(const AnalysisConfig &Config,
-                                   const Trace &T) {
-  if (Status V = Config.validate(); !V.ok()) {
-    AnalysisResult R;
-    R.Overall = std::move(V);
-    return R;
-  }
-  return convertPipelineResult(buildPipeline(Config).run(T), T.size());
-}
-
 // ---- Session internals ------------------------------------------------------
-
-namespace {
 
 /// Per-lane runtime shared between its consumer thread and
 /// partialResult()/finish(). Fields below SnapM are guarded by it; the
@@ -285,7 +223,9 @@ struct AnalysisSession::Impl {
   // take M to construct detectors against the id tables.
   std::mutex M;
   Trace Owned;
-  const Trace *Live = &Owned; ///< Points into the reader during feedFile.
+  /// Points into the reader during feedFile, and at the caller's trace
+  /// in an analyzeTrace session.
+  const Trace *Live = &Owned;
   EventStore Store;           ///< Published events; watermark == analyzable.
   /// Producer stores seq_cst then Store.wakeAll(); consumer stop
   /// predicates load seq_cst (the store's Dekker handshake, so the last
@@ -334,7 +274,8 @@ struct AnalysisSession::Impl {
   /// state they reference dies.
   std::unique_ptr<ThreadPool> Pool;
 
-  void start();
+  void start(const Trace *Adopted);
+  void adoptTrace(const Trace &T);
   void sequentialConsumer(LaneRuntime &Rt);
   void fusedConsumer();
   void windowedConsumer();
@@ -370,7 +311,7 @@ void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
 /// built once, against whatever id tables exist when the lane first has
 /// work (taking M only for that one construction); growable detector
 /// state admits ids declared later, so table growth never restarts the
-/// lane (bit-for-bit with the batch run; see the header comment).
+/// lane (bit-for-bit with runDetector; see the header comment).
 void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   uint64_t Consumed = 0;
@@ -580,10 +521,10 @@ void AnalysisSession::Impl::dispatchWindow(
   }
 }
 
-/// Merges the retired windows into each lane's final report, reproducing
-/// the batch engine's shard-order merge (and its naming and first-error
-/// labeling) exactly. Runs on the builder thread after every task of the
-/// final epoch completed.
+/// Merges the retired windows into each lane's final report in window
+/// order — runDetectorWindowed's merge — naming the lane "<name>[w=N]" and
+/// labeling the first failed window. Runs on the builder thread after
+/// every task of the final epoch completed.
 void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
   FinalNumWindows = Ep.Windows.size();
   WindowsRetired.set(FinalNumWindows);
@@ -607,7 +548,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
     std::lock_guard<std::mutex> G(Rt.SnapM);
     Rt.Name = Base + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
     Rt.Seconds = Seconds;
-    Rt.Final = std::move(Merged); // Kept even on error, like the batch merge.
+    Rt.Final = std::move(Merged); // Kept even on error.
     if (!Err.empty())
       Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
     else
@@ -761,9 +702,9 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
 /// AccessLog), commits the captured prefix (AccessLog::commit — snapshot
 /// watermark, then access watermark) and partitions the committed range
 /// into per-shard work lists under LogM; per-shard drain tasks replay the
-/// deferred checks in place concurrently — the batch engine's three
-/// phases, spread over time. Detectors without capture support keep the
-/// plain sequential walk (bit-identical to the batch fallback). Only the
+/// deferred checks in place concurrently — clock pass, shard checks and
+/// merge, spread over time. Detectors without capture support keep the
+/// plain sequential walk (bit-identical to runDetector). Only the
 /// trace-order merge is deferred to the very end.
 void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
                                              VarShardState &VS) {
@@ -884,8 +825,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     uint32_t FinalThreads, FinalVars;
     {
       // Zero-event sessions still owe a constructed detector. Ingestion
-      // is over, so these are the final table sizes — the ones the batch
-      // engine would have built everything against.
+      // is over, so these are the final table sizes.
       std::unique_lock<std::mutex> Lk(M);
       if (!Rt.D)
         buildDetectorLocked(Rt);
@@ -895,8 +835,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     if (!Capturing) {
       // Sequential fallback lane (no capture support) — or a zero-event
       // session whose detector never attached; either way the plain walk
-      // already happened and finish()/report() is the whole story, just
-      // like the batch engine's fallback.
+      // already happened and finish()/report() is the whole story.
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Rt.D->finish();
       Rt.Final = Rt.D->report();
@@ -919,7 +858,8 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         // capture counts, so it is fixed here — shard checks for this
         // strategy start once the clock pass retires (the modulo plan
         // needs no counts and streams all along). Counts are sized to the
-        // final tables, so the plan is exactly the batch engine's.
+        // final tables, so the plan does not depend on when names were
+        // declared.
         std::vector<uint64_t> Counts(FinalVars, 0);
         Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
                                              uint64_t) {
@@ -961,10 +901,9 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         return true;
       });
     }
-    // Phase 3 — the deterministic trace-order merge, identical to the
-    // batch engine's. Everything is quiescent now (drains exited, no more
-    // publication), but the locks are cheap and keep the invariants
-    // simple.
+    // Phase 3 — the deterministic trace-order merge. Everything is
+    // quiescent now (drains exited, no more publication), but the locks
+    // are cheap and keep the invariants simple.
     std::string Err;
     std::vector<std::vector<RaceInstance>> PerShard(NumShards);
     double ShardSeconds = 0;
@@ -1052,7 +991,10 @@ void AnalysisSession::Impl::registerObservability() {
   }
 }
 
-void AnalysisSession::Impl::start() {
+/// Validates the config, builds the lanes and launches the consumers. An
+/// \p Adopted trace is published before any consumer starts, so the
+/// consumers find the whole trace at their first watermark load.
+void AnalysisSession::Impl::start(const Trace *Adopted) {
   SessionStatus = Cfg.validate();
   if (!SessionStatus.ok()) {
     Reg = std::make_unique<MetricsRegistry>(false); // Keep Reg non-null.
@@ -1068,6 +1010,8 @@ void AnalysisSession::Impl::start() {
     Lanes.push_back(std::move(Rt));
   }
   registerObservability();
+  if (Adopted)
+    adoptTrace(*Adopted);
   switch (Cfg.Mode) {
   case RunMode::Sequential:
     for (auto &Rt : Lanes)
@@ -1178,6 +1122,20 @@ void AnalysisSession::Impl::publishLocked() {
     Rec->counter("published", Rec->nowUs(), Validated);
 }
 
+/// analyzeTrace's ingestion: \p T becomes the live trace and the store
+/// adopts its event vector as the fully published prefix — no event is
+/// copied and none is validated (batch callers validate themselves). Runs
+/// in start() before any consumer exists, so no lock is needed.
+void AnalysisSession::Impl::adoptTrace(const Trace &T) {
+  Live = &T;
+  Ingested = true;
+  Validated = T.size();
+  Store.adopt(T.events().data(), T.size());
+  PublishBatches.add();
+  PublishBatchPeak.observe(T.size());
+  PublishedGauge.set(T.size());
+}
+
 /// Mid-stream view of a windowed lane: the longest prefix of consecutive
 /// retired windows, merged in window order — never a torn merge, because
 /// a window either contributes whole or not at all.
@@ -1269,7 +1227,6 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
       Lane.LaneStatus = Rt.LaneStatus;
       Lane.Seconds = Rt.Seconds;
       Lane.EventsConsumed = Rt.Consumed;
-      Lane.Restarts = 0; // Structurally: growable state never restarts.
       Done = Rt.Done;
       if (Done)
         Lane.Report = Rt.Final;
@@ -1317,7 +1274,21 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
 AnalysisSession::AnalysisSession(AnalysisConfig Config)
     : I(std::make_unique<Impl>()) {
   I->Cfg = std::move(Config);
-  I->start();
+  I->start(nullptr);
+}
+
+AnalysisSession::AnalysisSession(AnalysisConfig Config, const Trace &Adopted)
+    : I(std::make_unique<Impl>()) {
+  I->Cfg = std::move(Config);
+  I->start(&Adopted);
+}
+
+AnalysisResult rapid::analyzeTrace(const AnalysisConfig &Config,
+                                   const Trace &T) {
+  AnalysisSession S(Config, T);
+  AnalysisResult R = S.finish();
+  R.Streamed = false; // The whole trace was published before any lane ran.
+  return R;
 }
 
 AnalysisSession::~AnalysisSession() {
@@ -1571,8 +1542,7 @@ AnalysisResult AnalysisSession::finish() {
     R.ThreadsUsed = std::max(NumConsumers, 1u);
     break;
   case RunMode::Windowed:
-    // Mirrors the batch engine's shape: NumShards is the window count and
-    // ThreadsUsed the pool width. No pool exists when the config failed
+    // NumShards is the window count and ThreadsUsed the pool width. No pool exists when the config failed
     // validation (start() bailed before creating one).
     R.NumShards = I->FinalNumWindows;
     if (I->Pool) {

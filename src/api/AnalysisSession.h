@@ -18,9 +18,11 @@
 ///
 /// Every mode streams: ingestion publishes a growing event prefix (single
 /// producer) and analysis consumes published ranges concurrently
-/// (multiple consumers), so analysis overlaps ingestion — the ROADMAP's
-/// "overlap ingestion with analysis" seam, applied to all four run modes.
-/// Reports are bit-identical to the batch entry points in every mode:
+/// (multiple consumers), so analysis overlaps ingestion — applied to all
+/// four run modes. The session is the repo's one analysis engine: the
+/// one-shot analyzeTrace() below is a session over a complete trace.
+/// Reports are bit-identical to the independent oracles in every mode
+/// (sequential runDetector; runDetectorWindowed's plain loop):
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
@@ -40,7 +42,7 @@
 /// late. Every piece of detector state is size-polymorphic (implicit-zero
 /// vector clocks, grow-on-first-touch access histories/locksets/queues),
 /// so a mid-stream declaration is an O(1) metadata update: no lane ever
-/// rebuilds or replays, and LaneReport::Restarts is structurally 0.
+/// rebuilds or replays.
 /// Declaring names up front (binary headers, declareTablesFrom) is still
 /// good hygiene — it sizes state once — but is no longer required for
 /// streaming: text files publish chunk by chunk exactly like binary ones,
@@ -52,9 +54,8 @@
 /// an unvalidated release-without-acquire reaching a live lane would be
 /// undefined behaviour. The first violation freezes ingestion with a
 /// sticky ValidationError; everything validated up to it stays analyzed.
-/// (The zero-copy analyzeTrace() below does NOT validate, preserving the
-/// legacy entry points' exact contracts — batch callers validate
-/// themselves, as race_cli always has.)
+/// (The zero-copy analyzeTrace() below does NOT validate: batch callers
+/// validate themselves, as race_cli always has.)
 ///
 /// Sessions are single-producer: feeds and finish() must come from one
 /// thread. partialResult() may be called concurrently with the producer
@@ -175,13 +176,20 @@ public:
   std::string exportTimeline() const;
 
 private:
+  friend AnalysisResult analyzeTrace(const AnalysisConfig &, const Trace &);
+  /// analyzeTrace's session: adopts \p Adopted as the fully published
+  /// trace in place (no event copied, no §2.1 validation).
+  AnalysisSession(AnalysisConfig Config, const Trace &Adopted);
+
   struct Impl;
   std::unique_ptr<Impl> I;
 };
 
-/// One-shot batch convenience: validates \p Config and analyzes \p T in
-/// place (zero-copy — no session trace is built). Reports are
-/// bit-identical to what a session fed the same events would produce.
+/// One-shot batch convenience: validates \p Config and runs a session
+/// over \p T in place — the caller's event vector is the published store
+/// (zero-copy), and \p T must outlive the call unmodified. Reports are
+/// bit-identical to what a session fed the same events would produce;
+/// the result has Streamed == false.
 AnalysisResult analyzeTrace(const AnalysisConfig &Config, const Trace &T);
 
 } // namespace rapid

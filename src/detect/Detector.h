@@ -88,7 +88,7 @@ public:
   /// \p Log — subsequent processEvent calls run only the clock machinery
   /// and append each read/write with its clocks — and returns true. The
   /// base class does not support it; such detectors run their lane
-  /// sequentially under sharded pipelines.
+  /// sequentially in var-sharded runs.
   virtual bool beginCapture(AccessLog &Log) {
     (void)Log;
     return false;

@@ -2,20 +2,15 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// runDetector is the timed full-trace walk every analysis mode shares: the
-// session's lanes and the pipeline's tasks both call it, and the tests pin
-// every parallel mode's output against it. The windowed/sharded free
-// functions are thin deprecated adapters over the session API
-// (api/AnalysisSession.h): each builds the equivalent AnalysisConfig, runs
-// the one-shot batch path and translates the unified result back into the
-// legacy RunResult shape — so there is exactly one implementation of the
-// mode mapping in the repo and the old bit-for-bit contracts ride on it.
+// The session-free oracles: runDetector is the timed full-trace walk, and
+// runDetectorWindowed the plain windowed loop (a fresh detector per window,
+// merged in window order). The analysis engine (api/AnalysisSession.h)
+// shares only runDetectorOnWindow, the per-window unit of work, with them.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/DetectorRunner.h"
 
-#include "api/AnalysisSession.h"
 #include "support/Timer.h"
 #include "trace/Window.h"
 
@@ -52,51 +47,23 @@ RaceReport rapid::runDetectorOnWindow(Detector &D, const TraceWindow &W) {
   return Translated;
 }
 
-namespace {
-
-/// Shared tail of the legacy adapters: one-lane AnalysisResult → RunResult.
-RunResult toRunResult(AnalysisResult &&R, double Seconds) {
-  RunResult Result;
-  Result.Seconds = Seconds;
-  if (!R.Lanes.empty()) {
-    LaneReport &Lane = R.Lanes.front();
-    Result.Report = std::move(Lane.Report);
-    Result.DetectorName = std::move(Lane.DetectorName);
-    if (!Lane.LaneStatus.ok())
-      Result.Error = Lane.LaneStatus.Message;
-  }
-  if (Result.Error.empty() && !R.Overall.ok())
-    Result.Error = R.Overall.Message;
-  return Result;
-}
-
-} // namespace
-
 RunResult rapid::runDetectorWindowed(const DetectorFactory &Make,
                                      const Trace &T, uint64_t WindowSize) {
-  Timer Clock;
-  AnalysisConfig Cfg;
-  Cfg.addDetector(Make);
   if (WindowSize == 0) {
-    // Degenerate call: no windowing requested — the single fused walk the
-    // old implementation performed.
-    Cfg.Mode = RunMode::Fused;
-  } else {
-    Cfg.Mode = RunMode::Windowed;
-    Cfg.WindowEvents = WindowSize;
-    Cfg.Threads = 1; // The windowed baseline stays single-threaded.
+    std::unique_ptr<Detector> D = Make(T);
+    return runDetector(*D, T);
   }
-  return toRunResult(analyzeTrace(Cfg, T), Clock.seconds());
-}
-
-RunResult rapid::runDetectorSharded(const DetectorFactory &Make,
-                                    const Trace &T, uint32_t NumShards,
-                                    unsigned NumThreads) {
   Timer Clock;
-  AnalysisConfig Cfg;
-  Cfg.addDetector(Make);
-  Cfg.Mode = RunMode::VarSharded;
-  Cfg.VarShards = NumShards == 0 ? 1 : NumShards;
-  Cfg.Threads = NumThreads;
-  return toRunResult(analyzeTrace(Cfg, T), Clock.seconds());
+  RunResult Result;
+  for (const TraceWindow &W : splitIntoWindows(T, WindowSize)) {
+    std::unique_ptr<Detector> D = Make(W.Fragment);
+    if (Result.DetectorName.empty())
+      Result.DetectorName = D->name();
+    Result.Report.mergeFrom(runDetectorOnWindow(*D, W));
+  }
+  if (Result.DetectorName.empty())
+    Result.DetectorName = Make(T)->name(); // No windows: an empty trace.
+  Result.DetectorName += "[w=" + std::to_string(WindowSize) + "]";
+  Result.Seconds = Clock.seconds();
+  return Result;
 }

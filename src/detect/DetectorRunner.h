@@ -9,12 +9,11 @@
 /// paper insists on) or over fixed-size windows (the handicapped mode other
 /// sound tools are forced into, §1/§4), timing the analysis.
 ///
-/// runDetector is the shared primitive walk every engine builds on. The
-/// windowed/sharded free functions below are *legacy adapters* kept for
-/// their bit-for-bit contracts: they now delegate to the session API
-/// (api/AnalysisSession.h), whose AnalysisConfig/AnalysisResult supersede
-/// the per-function parameter lists and this file's RunResult. New code
-/// should target the session API directly.
+/// These are the session-free oracles the analysis engine
+/// (api/AnalysisSession.h) is pinned against: runDetector is the plain
+/// sequential walk, runDetectorWindowed the plain windowed loop. Both stay
+/// deliberately simple and independent of the session so that a bug in
+/// the engine cannot hide in its own reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,16 +27,11 @@
 
 namespace rapid {
 
-/// Outcome of one analysis run. Legacy shape: superseded by
-/// api/AnalysisResult.h's AnalysisResult (which carries structured Status
-/// errors instead of the stringly Error below); kept for the adapters.
+/// Outcome of one oracle run.
 struct RunResult {
   RaceReport Report;
   double Seconds = 0;
   std::string DetectorName;
-  /// Set when a pipeline-backed run (windowed/sharded adapters) had a
-  /// task fail; the report is then partial or empty, not "no races".
-  std::string Error;
 };
 
 /// Runs \p D over all of \p T in trace order.
@@ -47,8 +41,7 @@ struct TraceWindow;
 
 /// Walks \p D over the fragment of \p W and returns its report with race
 /// indices translated back to the parent trace — the per-window unit of
-/// work shared by the batch pipeline and the streaming session's windowed
-/// mode (one implementation, so the two modes cannot drift).
+/// work shared by runDetectorWindowed and the session's windowed mode.
 RaceReport runDetectorOnWindow(Detector &D, const TraceWindow &W);
 
 /// Factory signature for windowed runs: each window gets a fresh detector,
@@ -56,19 +49,12 @@ RaceReport runDetectorOnWindow(Detector &D, const TraceWindow &W);
 using DetectorFactory = std::function<std::unique_ptr<Detector>(const Trace &)>;
 
 /// Splits \p T into windows of \p WindowSize events, runs a fresh detector
-/// per window and merges the reports. Race indices in the merged report are
-/// translated back to the parent trace so distances stay meaningful.
+/// per window in window order and merges the reports. Race indices in the
+/// merged report are translated back to the parent trace so distances stay
+/// meaningful. The name is "<name>[w=WindowSize]"; WindowSize == 0 means
+/// no windowing (one runDetector walk, plain name).
 RunResult runDetectorWindowed(const DetectorFactory &Make, const Trace &T,
                               uint64_t WindowSize);
-
-/// Runs a fresh detector over \p T with its race checks split across
-/// \p NumShards per-variable shards (detect/ShardedAccessHistory.h) on
-/// \p NumThreads pool workers (0 = hardware concurrency). Unlike windowed
-/// runs this loses nothing: the report is bit-identical to runDetector for
-/// any shard count. Detectors without capture support fall back to the
-/// sequential walk.
-RunResult runDetectorSharded(const DetectorFactory &Make, const Trace &T,
-                             uint32_t NumShards, unsigned NumThreads = 0);
 
 } // namespace rapid
 

@@ -562,7 +562,7 @@ Trace makeBarrierHeavy(uint64_t Seed) {
 /// A fork chain where each link starts mid-trace and every round touches
 /// fresh variables and a fresh lock: thread, lock and variable ids keep
 /// being declared until the end of the trace. Streaming runs see their id
-/// tables grow constantly (the Restarts == 0 contract's worst case); the
+/// tables grow constantly (the growable-state contract's worst case); the
 /// one shared unprotected variable gives every thread pair a candidate.
 Trace makeDeclarationDense(uint64_t Seed) {
   const uint32_t Links = 3 + Seed % 3;

@@ -137,7 +137,7 @@ Trace makeZipfWorkload(const ZipfWorkloadSpec &Spec);
 /// BarrierHeavy runs lockstep rounds dense in lock traffic; and
 /// DeclarationDense staggers thread forks through the trace and touches
 /// fresh variables/locks every round, so id tables grow until the last
-/// event (the Restarts == 0 contract's worst case).
+/// event (the growable-state contract's worst case).
 enum class WorkloadShape : uint8_t {
   Uniform,
   ZipfLight,       ///< theta = 0.6

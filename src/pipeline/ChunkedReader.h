@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming ingestion for the analysis pipeline. Two byte-source
+/// Streaming ingestion for analysis sessions (feedFile). Two byte-source
 /// backends sit behind one parse loop:
 ///
 ///   mmap     regular files are memory-mapped (io/MappedFile) and parsed

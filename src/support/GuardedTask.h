@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one exception-containment idiom of the analysis engines: tasks on
+/// The one exception-containment idiom of the analysis engine: tasks on
 /// the ThreadPool (and the session's consumer threads) must not let
 /// exceptions escape — they report failures through their own result
 /// slots instead, so one exploding detector cannot sink a run. This
-/// helper is that contract in one place, shared by pipeline/ and api/.
+/// helper is that contract in one place.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,7 +16,9 @@
 /// never moves an element, so a reference obtained below the watermark
 /// stays valid for the store's lifetime. Publication is one release-or-
 /// stronger store of the watermark; consumption is one acquire load plus
-/// in-place reads. Zero copies, zero locks on the hot path.
+/// in-place reads. Zero copies, zero locks on the hot path. A store can
+/// also adopt a caller's complete array in place (adopt()) — how the
+/// one-shot analyzeTrace runs the session engine without copying events.
 ///
 /// Visibility argument (what makes the relaxed chunk-pointer loads sound):
 /// every element write and every chunk-directory store by the writer is
@@ -67,6 +69,8 @@ template <typename T> class PublishedStore {
 public:
   PublishedStore() = default;
   ~PublishedStore() {
+    if (Borrowed)
+      return;
     for (std::atomic<T *> &C : Chunks)
       delete[] C.load(std::memory_order_relaxed);
   }
@@ -90,6 +94,22 @@ public:
     }
     Ch[I - chunkStart(C)] = std::move(V);
     Count = I + 1;
+  }
+
+  /// Adopts the caller's \p N contiguous elements at \p Data as a fully
+  /// published store, copying nothing: chunk C's directory slot points at
+  /// Data + chunkStart(C), so every index addresses the caller's element
+  /// in place. Only valid on an empty store, and final — no append(),
+  /// writerSlot() or further publish() afterwards. \p Data must stay
+  /// alive and unmodified for the store's lifetime; the store never frees
+  /// it.
+  void adopt(const T *Data, uint64_t N) {
+    for (unsigned C = 0; C != MaxChunks && chunkStart(C) < N; ++C)
+      Chunks[C].store(const_cast<T *>(Data) + chunkStart(C),
+                      std::memory_order_relaxed);
+    Count = N;
+    Borrowed = true;
+    publish(N);
   }
 
   /// Elements appended so far — the writer's private count, ahead of (or
@@ -164,22 +184,28 @@ public:
   /// itself is charged to \p ParkNs (null handle: uncharged).
   template <typename StopPred>
   uint64_t waitPublished(uint64_t Current, Counter ParkNs, StopPred Stop) {
-    uint64_t W = Watermark.load(std::memory_order_seq_cst);
-    if (W > Current || Stop())
-      return W;
-    for (int Spin = 0; Spin != 64; ++Spin) {
+    uint64_t W = 0;
+    // Stop flags are raised after the final publish, so once Stop() holds
+    // a fresh load sees the final watermark. Without that re-load, a last
+    // publish landing between the first load and the stop check would be
+    // dropped: the caller would stop short of the published end.
+    auto Ready = [&] {
       W = Watermark.load(std::memory_order_seq_cst);
-      if (W > Current || Stop())
+      if (W > Current)
+        return true;
+      if (!Stop())
+        return false;
+      W = Watermark.load(std::memory_order_seq_cst);
+      return true;
+    };
+    for (int Spin = 0; Spin != 65; ++Spin)
+      if (Ready())
         return W;
-    }
     {
       ScopedNs Park(ParkNs);
       std::unique_lock<std::mutex> Lk(WaitM);
       Sleepers.fetch_add(1, std::memory_order_seq_cst);
-      WakeCV.wait(Lk, [&] {
-        W = Watermark.load(std::memory_order_seq_cst);
-        return W > Current || Stop();
-      });
+      WakeCV.wait(Lk, Ready);
       Sleepers.fetch_sub(1, std::memory_order_seq_cst);
     }
     return W;
@@ -200,6 +226,7 @@ private:
 
   std::array<std::atomic<T *>, MaxChunks> Chunks{};
   uint64_t Count = 0; ///< Writer-private appended count.
+  bool Borrowed = false; ///< adopt()ed: chunks belong to the caller.
   std::atomic<uint64_t> Watermark{0};
 
   // Eventcount parking (see file comment for the lost-wakeup argument).

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The structured error type shared by the analysis API and the IO layer.
-/// Replaces the stringly `std::string Error` slots that used to travel
-/// through RunResult/PipelineResult: a Status carries a machine-checkable
-/// code (so callers can branch on *what* failed) plus the human-readable
-/// message (so nothing the old fields said is lost). Statuses never throw;
-/// layers that contain exceptions convert them into AnalysisError.
+/// Replaces stringly `std::string Error` slots: a Status carries a
+/// machine-checkable code (so callers can branch on *what* failed) plus the
+/// human-readable message (so nothing the old fields said is lost).
+/// Statuses never throw; layers that contain exceptions convert them into
+/// AnalysisError.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the analysis pipeline. Each worker
+/// A small work-stealing thread pool for the analysis session. Each worker
 /// owns a deque of tasks: it pops from the front of its own deque and, when
 /// empty, steals from the back of a sibling's. Submissions are distributed
-/// round-robin so the per-lane shard tasks of pipeline/ start spread out
-/// even before stealing kicks in.
+/// round-robin so a session's per-lane window/shard tasks start spread
+/// out even before stealing kicks in.
 ///
 /// The pool is deliberately minimal — no futures, no priorities. Callers
 /// submit fire-and-forget closures and synchronize with wait(), which
 /// blocks until every submitted task (including tasks submitted *by*
-/// running tasks) has finished. Task exceptions are not propagated; pipeline
+/// running tasks) has finished. Task exceptions are not propagated; session
 /// tasks report failures through their own result slots.
 ///
 //===----------------------------------------------------------------------===//

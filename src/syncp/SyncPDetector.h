@@ -35,7 +35,7 @@
 ///
 /// All state grows on first touch (implicit-zero VectorClock extension,
 /// growable index tables), so threads/vars/locks declared mid-stream cost
-/// O(1) and LaneReport::Restarts stays structurally 0.
+/// O(1) and never force a rebuild.
 ///
 //===----------------------------------------------------------------------===//
 

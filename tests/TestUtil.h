@@ -7,6 +7,7 @@
 #ifndef RAPID_TESTS_TESTUTIL_H
 #define RAPID_TESTS_TESTUTIL_H
 
+#include "api/AnalysisConfig.h"
 #include "detect/DetectorRunner.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
@@ -42,8 +43,7 @@ inline Trace takeValid(TraceBuilder &B, bool RequireClosedSections = false) {
 /// Bit-for-bit report equality — the determinism contract every parallel
 /// mode is held to: same distinct pairs, same instance count, the same
 /// witness event pairs in the same discovery order, same distances.
-/// Shared by the pipeline and differential suites so "bit-identical"
-/// means one thing.
+/// Shared by every suite so "bit-identical" means one thing.
 inline void expectSameReport(const RaceReport &Got, const RaceReport &Want,
                              const Trace &T, const std::string &Label) {
   EXPECT_EQ(Got.numDistinctPairs(), Want.numDistinctPairs()) << Label;
@@ -62,6 +62,21 @@ inline void expectSameReport(const RaceReport &Got, const RaceReport &Want,
     EXPECT_EQ(Got.pairDistance(W.pair()), Want.pairDistance(W.pair()))
         << Label << " #" << I;
   }
+}
+
+/// The session-free oracle for lane \p L of a \p Cfg run over \p T: the
+/// plain windowed loop (runDetectorWindowed) in Windowed mode, the
+/// sequential runDetector walk in every other mode — never the session
+/// engine itself, so an engine bug cannot hide in its own reference.
+inline RunResult oracleLane(const AnalysisConfig &Cfg, size_t L,
+                            const Trace &T) {
+  const DetectorSpec &S = Cfg.Detectors[L];
+  DetectorFactory Make =
+      S.Kind == DetectorKind::Custom ? S.Make : makeDetectorFactory(S.Kind);
+  if (Cfg.Mode == RunMode::Windowed)
+    return runDetectorWindowed(Make, T, Cfg.WindowEvents);
+  std::unique_ptr<Detector> D = Make(T);
+  return runDetector(*D, T);
 }
 
 /// Runs detector type \p D over \p T and returns its report.

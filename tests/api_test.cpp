@@ -4,10 +4,11 @@
 //
 // The session API's contract has three legs, pinned here:
 //
-//   1. equivalence — a streaming session is the batch engine's pass
-//      spread over time: for every mode (sequential, fused, windowed,
+//   1. equivalence — a streaming session is the oracle's pass spread
+//      over time: for every mode (sequential, fused, windowed,
 //      var-sharded) and detector, the final report is bit-identical to
-//      the batch entry points, on 100 seeded random traces per detector,
+//      the session-free oracles (runDetector; runDetectorWindowed's plain
+//      loop in windowed mode), on 100 seeded random traces per detector,
 //      whether events arrive as one trace, as push batches, through
 //      mid-stream table growth (growable state; never a restart), or from
 //      a file (binary and text chunks both overlap analysis). Windowed/var-sharded
@@ -28,6 +29,7 @@
 #include "io/TraceFile.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
+#include "trace/Window.h"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,7 @@
 
 using namespace rapid;
 using testutil::expectSameReport;
+using testutil::oracleLane;
 
 namespace {
 
@@ -151,8 +154,6 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, T,
                              "push seed " + std::to_string(GetParam()));
-  for (const LaneReport &L : R.Lanes)
-    EXPECT_EQ(L.Restarts, 0u) << "tables were declared up front";
 }
 
 // Fused mode: one consumer walks the published prefix once, feeding every
@@ -168,8 +169,8 @@ TEST_P(ApiStreamFuzzTest, FusedSessionMatchesBatchBitForBit) {
 }
 
 // Windowed sessions stream: windows dispatch onto the pool as their event
-// range publishes, and the merged result must equal the batch windowed
-// engine bit for bit — with every mid-stream partial a prefix of the
+// range publishes, and the merged result must equal runDetectorWindowed's
+// plain loop bit for bit — with every mid-stream partial a prefix of the
 // final report (no torn merges). 50 seeds x 4 detectors, varied window
 // and push-batch sizes.
 TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
@@ -195,17 +196,16 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.ok()) << R.firstError().str();
   EXPECT_TRUE(R.Streamed);
-  AnalysisResult Want = analyzeTrace(Cfg, T);
-  ASSERT_TRUE(Want.ok()) << Want.firstError().str();
-  EXPECT_EQ(R.NumShards, Want.NumShards) << "window count";
-  ASSERT_EQ(R.Lanes.size(), Want.Lanes.size());
+  EXPECT_EQ(R.NumShards, splitIntoWindows(T, Cfg.WindowEvents).size())
+      << "window count";
+  ASSERT_EQ(R.Lanes.size(), std::size(kAllKinds));
   for (size_t L = 0; L != R.Lanes.size(); ++L) {
-    std::string Label = "windowed seed " + std::to_string(Seed) + "/" +
-                        Want.Lanes[L].DetectorName;
-    EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
+    RunResult Want = oracleLane(Cfg, L, T);
+    std::string Label =
+        "windowed seed " + std::to_string(Seed) + "/" + Want.DetectorName;
+    EXPECT_EQ(R.Lanes[L].DetectorName, Want.DetectorName) << Label;
     EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
-    EXPECT_EQ(R.Lanes[L].Restarts, 0u) << "tables were declared up front";
-    expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T, Label);
+    expectSameReport(R.Lanes[L].Report, Want.Report, T, Label);
     for (const AnalysisResult &Mid : Partials) {
       ASSERT_TRUE(Mid.Partial);
       expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report, Label);
@@ -215,8 +215,7 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
 
 // Var-sharded sessions stream too: the capture clock pass runs behind
 // ingestion and shard checks replay published AccessLog prefixes; the
-// merged result must equal both the batch var-sharded engine and (for
-// capture-capable detectors) plain sequential runDetector, bit for bit,
+// merged result must equal plain sequential runDetector, bit for bit,
 // under both shard strategies.
 TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
   uint64_t Seed = GetParam();
@@ -244,22 +243,14 @@ TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
   ASSERT_TRUE(R.ok()) << R.firstError().str();
   EXPECT_TRUE(R.Streamed);
   EXPECT_EQ(R.VarShards, Cfg.VarShards);
-  AnalysisResult Want = analyzeTrace(Cfg, T);
-  ASSERT_TRUE(Want.ok()) << Want.firstError().str();
   ASSERT_EQ(R.Lanes.size(), std::size(kAllKinds));
   for (size_t L = 0; L != R.Lanes.size(); ++L) {
-    std::string Label = "var-sharded seed " + std::to_string(Seed) + "/" +
-                        Want.Lanes[L].DetectorName;
-    EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
+    RunResult Want = oracleLane(Cfg, L, T);
+    std::string Label =
+        "var-sharded seed " + std::to_string(Seed) + "/" + Want.DetectorName;
+    EXPECT_EQ(R.Lanes[L].DetectorName, Want.DetectorName) << Label;
     EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
-    EXPECT_EQ(R.Lanes[L].Restarts, 0u) << "tables were declared up front";
-    expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T,
-                     Label + "/vs-batch");
-    // The var-sharded contract on top: nothing may differ from the plain
-    // sequential walk either.
-    std::unique_ptr<Detector> D = makeDetectorFactory(kAllKinds[L])(T);
-    RunResult Seq = runDetector(*D, T);
-    expectSameReport(R.Lanes[L].Report, Seq.Report, T, Label + "/vs-seq");
+    expectSameReport(R.Lanes[L].Report, Want.Report, T, Label);
     for (const AnalysisResult &Mid : Partials)
       expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report, Label);
   }
@@ -308,16 +299,13 @@ TEST(ApiSessionTest, LateDeclarationsGrowLanesAndStayBitForBit) {
   ASSERT_EQ(T.size(), 4u);
   expectLanesMatchSequential(R, T, "late declarations");
   EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 1u);
-  for (const LaneReport &L : R.Lanes)
-    EXPECT_EQ(L.Restarts, 0u)
-        << L.DetectorName << ": growable state must never restart";
 }
 
 // Late declarations in the streamed batch modes: tables grow after a lane
 // already consumed events. Growable detector state admits the new ids in
 // place — the windowed builder keeps its window set, the capture pass
 // keeps its log and checkers — so no lane restarts and the final report
-// still matches the batch engine over the final trace, bit for bit.
+// still matches the oracle over the final trace, bit for bit.
 TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
   for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg = allDetectorConfig(Mode);
@@ -357,18 +345,15 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
 
     const Trace &T = S.trace();
     ASSERT_EQ(T.size(), 4u);
-    AnalysisResult Want = analyzeTrace(Cfg, T);
-    ASSERT_TRUE(Want.ok()) << Want.firstError().str();
     for (size_t L = 0; L != R.Lanes.size(); ++L) {
+      RunResult Want = oracleLane(Cfg, L, T);
       std::string Label = std::string("late decls ") + runModeName(Mode) +
-                          "/" + Want.Lanes[L].DetectorName;
-      EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
-      expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T, Label);
+                          "/" + Want.DetectorName;
+      EXPECT_EQ(R.Lanes[L].DetectorName, Want.DetectorName) << Label;
+      expectSameReport(R.Lanes[L].Report, Want.Report, T, Label);
       if (Mode == RunMode::VarSharded) { // 1-event windows see no races.
         EXPECT_GT(R.Lanes[L].Report.numDistinctPairs(), 0u) << Label;
       }
-      EXPECT_EQ(R.Lanes[L].Restarts, 0u)
-          << Label << ": growable state must never restart";
     }
   }
 }
@@ -435,17 +420,16 @@ TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
                              std::string("stress ") + runModeName(Mode));
       }
     }
-    // And the final result still matches the batch engine bit for bit.
-    AnalysisResult Want = analyzeTrace(Cfg, T);
+    // And the final result still matches the oracle bit for bit.
     for (size_t L = 0; L != R.Lanes.size(); ++L)
-      expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T,
+      expectSameReport(R.Lanes[L].Report, oracleLane(Cfg, L, T).Report, T,
                        std::string("stress final ") + runModeName(Mode));
   }
 }
 
 // ---- File ingestion ---------------------------------------------------------
 
-TEST(ApiSessionTest, FeedFileBinaryStreamsWithoutRestartsBitForBit) {
+TEST(ApiSessionTest, FeedFileBinaryStreamsBitForBit) {
   Trace T = randomTrace(fuzzParams(17, true));
   std::string Path = tempPath("stream.bin");
   ASSERT_EQ(saveTraceFile(T, Path), "");
@@ -456,11 +440,6 @@ TEST(ApiSessionTest, FeedFileBinaryStreamsWithoutRestartsBitForBit) {
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, S.trace(), "feedFile binary");
-  for (const LaneReport &L : R.Lanes) {
-    // Binary headers carry all tables up front: streaming must never
-    // have restarted a lane.
-    EXPECT_EQ(L.Restarts, 0u) << L.DetectorName;
-  }
   std::remove(Path.c_str());
 }
 
@@ -649,7 +628,7 @@ TEST(ApiSessionTest, IngestPreconditionsAreEnforced) {
 
 // ---- Batch modes through the session ----------------------------------------
 
-TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchLegacyAdapters) {
+TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchOracles) {
   Trace T = randomTrace(fuzzParams(29, true));
   for (DetectorKind K : kAllKinds) {
     DetectorFactory Make = makeDetectorFactory(K);

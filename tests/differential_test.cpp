@@ -21,12 +21,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "api/AnalysisSession.h"
 #include "detect/ShardedAccessHistory.h"
 #include "gen/RandomTraceGen.h"
 #include "gen/Workloads.h"
 #include "hb/FastTrackDetector.h"
 #include "hb/HbDetector.h"
-#include "pipeline/Pipeline.h"
 #include "reference/ClosureEngine.h"
 #include "syncp/SyncPDetector.h"
 #include "trace/TraceValidator.h"
@@ -63,6 +63,22 @@ RandomTraceParams fuzzParams(uint64_t Seed, bool ForkJoin) {
 
 using testutil::expectSameReport;
 
+/// One var-sharded analyzeTrace run of \p Make over \p T on two pool
+/// workers; returns its single lane.
+LaneReport runSharded(const DetectorFactory &Make, const Trace &T,
+                      uint32_t NumShards,
+                      ShardStrategy Strategy = ShardStrategy::Modulo) {
+  AnalysisConfig Cfg;
+  Cfg.addDetector(Make);
+  Cfg.Mode = RunMode::VarSharded;
+  Cfg.VarShards = NumShards;
+  Cfg.Strategy = Strategy;
+  Cfg.Threads = 2;
+  AnalysisResult R = analyzeTrace(Cfg, T);
+  EXPECT_TRUE(R.Overall.ok()) << R.Overall.str();
+  return R.Lanes.empty() ? LaneReport() : std::move(R.Lanes.front());
+}
+
 /// One differential round: sequential oracle vs every shard count.
 /// Bit-for-bit comparison via testutil::expectSameReport.
 void expectShardedMatchesSequential(const DetectorFactory &Make,
@@ -71,8 +87,8 @@ void expectShardedMatchesSequential(const DetectorFactory &Make,
   std::unique_ptr<Detector> D = Make(T);
   RunResult Want = runDetector(*D, T);
   for (uint32_t N : kShardCounts) {
-    RunResult Got = runDetectorSharded(Make, T, N, /*NumThreads=*/2);
-    ASSERT_TRUE(Got.Error.empty()) << Label << ": " << Got.Error;
+    LaneReport Got = runSharded(Make, T, N);
+    ASSERT_TRUE(Got.LaneStatus.ok()) << Label << ": " << Got.LaneStatus.str();
     // Var-sharding loses nothing, so the lane keeps the plain name — no
     // "[w=...]"-style marker distinguishing it from the sequential run.
     EXPECT_EQ(Got.DetectorName, Want.DetectorName) << Label;
@@ -174,8 +190,7 @@ TEST_P(DifferentialFuzzTest, AdversarialMatrixMatchesSequentialBitForBit) {
 }
 
 // The frequency-balanced shard plan must be invisible in results: same
-// bit-for-bit contract as the modulo plan, via the pipeline's strategy
-// option.
+// bit-for-bit contract as the modulo plan, via the config's strategy.
 TEST_P(DifferentialFuzzTest, BalancedStrategyMatchesSequentialBitForBit) {
   Trace T = randomTrace(fuzzParams(GetParam() ^ 0x1234, GetParam() % 2 == 0));
   std::vector<std::pair<const char *, DetectorFactory>> Factories = {
@@ -186,16 +201,10 @@ TEST_P(DifferentialFuzzTest, BalancedStrategyMatchesSequentialBitForBit) {
   for (auto &[Name, Make] : Factories) {
     std::unique_ptr<Detector> D = Make(T);
     RunResult Want = runDetector(*D, T);
-    PipelineOptions Opts;
-    Opts.NumThreads = 2;
-    Opts.VarShards = 4;
-    Opts.VarShardStrategy = ShardStrategy::FrequencyBalanced;
-    AnalysisPipeline P(Opts);
-    P.addDetector(Make);
-    PipelineResult R = P.run(T);
-    ASSERT_EQ(R.Lanes.size(), 1u);
-    ASSERT_TRUE(R.Lanes[0].Error.empty()) << R.Lanes[0].Error;
-    expectSameReport(R.Lanes[0].Report, Want.Report, T,
+    LaneReport Got =
+        runSharded(Make, T, 4, ShardStrategy::FrequencyBalanced);
+    ASSERT_TRUE(Got.LaneStatus.ok()) << Got.LaneStatus.str();
+    expectSameReport(Got.Report, Want.Report, T,
                      std::string("balanced/") + Name + " seed " +
                          std::to_string(GetParam()));
   }
@@ -214,7 +223,7 @@ TEST_P(DifferentialFuzzTest, ShardedHbAgreesWithClosureOracle) {
     P.OpsPerThread = 15 + GetParam() % 20; // Keep the O(N^2) oracle cheap.
     Trace T = randomTrace(P);
     ClosureEngine Ref(T);
-    RunResult Sharded = runDetectorSharded(
+    LaneReport Sharded = runSharded(
         [](const Trace &F) { return std::make_unique<HbDetector>(F); }, T,
         /*NumShards=*/4);
     for (const RaceInstance &I : Sharded.Report.instances())

@@ -6,11 +6,11 @@
 // *while lanes are already consuming* — threads, locks and variables
 // declared at arbitrary mid-stream offsets — must
 //
-//   1. never restart a lane (LaneReport::Restarts structurally 0: growth
-//      is an O(1) metadata update, not a rebuild-and-replay), and
-//   2. finish with reports bit-for-bit identical to the batch engine
-//      (and, where the mode promises it, plain runDetector) over the
-//      final trace,
+//   1. keep every lane running (growth is an O(1) metadata update, not a
+//      rebuild-and-replay), and
+//   2. finish with reports bit-for-bit identical to the session-free
+//      oracle over the final trace: plain runDetector in the unwindowed
+//      modes, runDetectorWindowed's plain loop in windowed mode,
 //
 // for every detector and every run mode. 50 seeds x {no-forkjoin,
 // forkjoin} = 100 distinct traces; each runs through all four modes with
@@ -33,6 +33,7 @@
 
 using namespace rapid;
 using testutil::expectSameReport;
+using testutil::oracleLane;
 
 namespace {
 
@@ -193,7 +194,7 @@ AnalysisConfig growthConfig(RunMode Mode, uint64_t Seed) {
 class GrowthFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// Runs \p T through all four modes with a lazy declaration schedule and
-/// holds every lane to the restart-free + bit-for-bit contract.
+/// holds every lane to the bit-for-bit contract against its oracle.
 void expectGrowthRoundHolds(const Trace &T, uint64_t Seed, uint64_t DeclSeed,
                             const std::string &TraceLabel) {
   for (RunMode Mode : {RunMode::Sequential, RunMode::Fused,
@@ -209,27 +210,15 @@ void expectGrowthRoundHolds(const Trace &T, uint64_t Seed, uint64_t DeclSeed,
 
     const Trace &Final = S.trace();
     ASSERT_EQ(Final.size(), T.size());
-    AnalysisResult Want = analyzeTrace(Cfg, Final);
-    ASSERT_TRUE(Want.ok()) << Want.firstError().str();
-    ASSERT_EQ(R.Lanes.size(), Want.Lanes.size());
+    ASSERT_EQ(R.Lanes.size(), std::size(kAllKinds));
     for (size_t L = 0; L != R.Lanes.size(); ++L) {
-      std::string Label = TraceLabel + " " + runModeName(Mode) + "/" +
-                          Want.Lanes[L].DetectorName;
-      EXPECT_EQ(R.Lanes[L].Restarts, 0u)
-          << Label << ": growable state must never restart";
-      EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName)
-          << Label;
-      expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, Final,
-                       Label + "/vs-batch");
-      if (Mode != RunMode::Windowed) {
-        // Every unwindowed mode additionally promises equality with the
-        // plain sequential walk (windowed reports are windowed by
-        // design).
-        std::unique_ptr<Detector> D = makeDetectorFactory(kAllKinds[L])(Final);
-        RunResult Seq = runDetector(*D, Final);
-        expectSameReport(R.Lanes[L].Report, Seq.Report, Final,
-                         Label + "/vs-seq");
-      }
+      // Windowed reports are windowed by design: their oracle is the
+      // plain windowed loop; every other mode's is the sequential walk.
+      RunResult Want = oracleLane(Cfg, L, Final);
+      std::string Label =
+          TraceLabel + " " + runModeName(Mode) + "/" + Want.DetectorName;
+      EXPECT_EQ(R.Lanes[L].DetectorName, Want.DetectorName) << Label;
+      expectSameReport(R.Lanes[L].Report, Want.Report, Final, Label);
     }
   }
 }
@@ -271,7 +260,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GrowthFuzzTest,
 // the pathological queue-growth trace forks its third thread halfway
 // through, so the GC's thread frontier grows while the per-lock queues
 // are already loaded — collecting an entry the late thread still needs
-// would diverge the streamed report from the batch one here.
+// would diverge the streamed report from the oracle here.
 TEST(WcpQueueStressGrowthTest, LateThreadDeclarationStaysBitForBit) {
   for (uint64_t Seed : {1u, 2u, 5u}) {
     WcpQueueStressSpec Spec;

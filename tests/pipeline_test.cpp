@@ -1,17 +1,21 @@
-//===- tests/pipeline_test.cpp - Pipeline, chunked reader, thread pool --------===//
+//===- tests/pipeline_test.cpp - analyzeTrace, chunked reader, thread pool ----===//
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// The pipeline's contract is *determinism*: parallel multi-detector runs
+// The one-shot batch entry point's contract is *determinism*: analyzeTrace
+// runs the session engine over a caller's complete trace, and every mode
 // must be bit-for-bit identical (same race pairs, same witness indices, in
-// the same order) to the sequential single-detector runs they fan out —
-// across thread counts, shard sizes and scheduling. These tests pin that
-// contract on the paper figures and on randomized traces, and cover the
-// streaming chunked reader against the one-shot loader byte for byte.
+// the same order) to the session-free oracles — sequential runDetector,
+// and for windowed runs the plain fresh-detector-per-window loop — across
+// thread counts, shard counts, window sizes and scheduling. These tests
+// pin that contract on the paper figures and on randomized traces, and
+// cover the streaming chunked reader against the one-shot loader byte for
+// byte.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "api/AnalysisSession.h"
 #include "gen/PaperTraces.h"
 #include "gen/RandomTraceGen.h"
 #include "gen/Workloads.h"
@@ -21,7 +25,6 @@
 #include "io/TraceFile.h"
 #include "lockset/EraserDetector.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "support/ThreadPool.h"
 #include "trace/Window.h"
 #include "wcp/WcpDetector.h"
@@ -29,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
 #include <cstdio>
 
 using namespace rapid;
@@ -53,25 +55,29 @@ std::vector<NamedFactory> allLanes() {
   };
 }
 
-AnalysisPipeline makePipeline(const PipelineOptions &Opts) {
-  AnalysisPipeline P(Opts);
+/// A four-lane config in \p Mode on \p Threads pool workers.
+AnalysisConfig allLanesConfig(RunMode Mode, unsigned Threads = 4) {
+  AnalysisConfig Cfg;
+  Cfg.Mode = Mode;
+  Cfg.Threads = Threads;
   for (NamedFactory &F : allLanes())
-    P.addDetector(F.Make, F.Name);
-  return P;
+    Cfg.addDetector(F.Make, F.Name);
+  return Cfg;
 }
 
 using testutil::expectSameReport;
+using testutil::oracleLane;
 
-void expectPipelineMatchesSequential(const Trace &T, const PipelineOptions &Opts,
-                                     const std::string &Label) {
-  PipelineResult R = makePipeline(Opts).run(T);
-  std::vector<NamedFactory> Lanes = allLanes();
-  ASSERT_EQ(R.Lanes.size(), Lanes.size());
-  for (size_t L = 0; L != Lanes.size(); ++L) {
-    std::unique_ptr<Detector> D = Lanes[L].Make(T);
-    RunResult Want = runDetector(*D, T);
-    expectSameReport(R.Lanes[L].Report, Want.Report, T,
-                     Label + "/" + Lanes[L].Name);
+/// Runs \p Cfg through analyzeTrace and holds every lane to its oracle.
+void expectAnalyzeMatchesOracle(const Trace &T, const AnalysisConfig &Cfg,
+                                const std::string &Label) {
+  AnalysisResult R = analyzeTrace(Cfg, T);
+  ASSERT_TRUE(R.Overall.ok()) << Label << ": " << R.Overall.str();
+  ASSERT_EQ(R.Lanes.size(), Cfg.Detectors.size());
+  for (size_t L = 0; L != R.Lanes.size(); ++L) {
+    EXPECT_TRUE(R.Lanes[L].LaneStatus.ok()) << R.Lanes[L].LaneStatus.str();
+    expectSameReport(R.Lanes[L].Report, oracleLane(Cfg, L, T).Report, T,
+                     Label + "/" + Cfg.Detectors[L].Name);
   }
 }
 
@@ -111,90 +117,106 @@ Trace mediumRandomTrace(uint64_t Seed) {
 
 } // namespace
 
-// ---- Parallel multi-detector fan-out ----------------------------------------
+// ---- analyzeTrace: multi-detector fan-out -----------------------------------
 
-TEST(PipelineTest, UnshardedParallelMatchesSequentialOnPaperTraces) {
-  PipelineOptions Opts;
-  Opts.NumThreads = 4;
+TEST(AnalyzeTraceTest, SequentialMatchesRunDetectorOnPaperTraces) {
   for (const PaperTrace &P : allPaperTraces())
-    expectPipelineMatchesSequential(P.T, Opts, P.Name);
+    expectAnalyzeMatchesOracle(P.T, allLanesConfig(RunMode::Sequential),
+                               P.Name);
 }
 
-class PipelineRandomTest : public ::testing::TestWithParam<uint64_t> {};
+class AnalyzeTraceRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PipelineRandomTest, UnshardedParallelMatchesSequential) {
-  PipelineOptions Opts;
-  Opts.NumThreads = 4;
+TEST_P(AnalyzeTraceRandomTest, SequentialMatchesRunDetector) {
   Trace T = mediumRandomTrace(GetParam());
-  expectPipelineMatchesSequential(
-      T, Opts, "random seed " + std::to_string(GetParam()));
+  expectAnalyzeMatchesOracle(T, allLanesConfig(RunMode::Sequential),
+                             "random seed " + std::to_string(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, PipelineRandomTest,
+INSTANTIATE_TEST_SUITE_P(Random, AnalyzeTraceRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-TEST(PipelineTest, FusedSingleWalkMatchesSequential) {
-  PipelineOptions Opts;
-  Opts.Parallel = false;
-  expectPipelineMatchesSequential(makeWorkload(workloadSpec("pingpong")), Opts,
-                                  "fused/pingpong");
-  expectPipelineMatchesSequential(mediumRandomTrace(99), Opts, "fused/random");
+TEST(AnalyzeTraceTest, FusedSingleWalkMatchesRunDetector) {
+  AnalysisConfig Cfg = allLanesConfig(RunMode::Fused);
+  expectAnalyzeMatchesOracle(makeWorkload(workloadSpec("pingpong")), Cfg,
+                             "fused/pingpong");
+  expectAnalyzeMatchesOracle(mediumRandomTrace(99), Cfg, "fused/random");
 }
 
-TEST(PipelineTest, ThreadCountDoesNotChangeResults) {
-  Trace T = makeWorkload(workloadSpec("account"));
-  PipelineOptions One;
-  One.NumThreads = 1;
-  PipelineResult RefRun = makePipeline(One).run(T);
-  for (unsigned N : {2u, 4u, 8u}) {
-    PipelineOptions Opts;
-    Opts.NumThreads = N;
-    PipelineResult R = makePipeline(Opts).run(T);
-    ASSERT_EQ(R.Lanes.size(), RefRun.Lanes.size());
-    for (size_t L = 0; L != R.Lanes.size(); ++L)
-      expectSameReport(R.Lanes[L].Report, RefRun.Lanes[L].Report, T,
-                       "threads=" + std::to_string(N));
+// The adopted trace is the published store: the whole trace counts as
+// ingested and published, no lane is reported as streamed, and nothing
+// was validated or copied on the way (EventsIngested is the caller's
+// size in every mode).
+TEST(AnalyzeTraceTest, AdoptsTheWholeTraceInEveryMode) {
+  Trace T = mediumRandomTrace(8);
+  for (RunMode Mode : {RunMode::Sequential, RunMode::Fused,
+                       RunMode::Windowed, RunMode::VarSharded}) {
+    AnalysisConfig Cfg = allLanesConfig(Mode, 2);
+    if (Mode == RunMode::Windowed)
+      Cfg.WindowEvents = 50;
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 3;
+    AnalysisResult R = analyzeTrace(Cfg, T);
+    ASSERT_TRUE(R.ok()) << runModeName(Mode) << ": " << R.firstError().str();
+    EXPECT_FALSE(R.Streamed) << runModeName(Mode);
+    EXPECT_FALSE(R.Partial) << runModeName(Mode);
+    EXPECT_EQ(R.EventsIngested, T.size()) << runModeName(Mode);
+    uint64_t Published = 0;
+    for (const MetricSample &S : R.Telemetry)
+      if (S.Name == "publish.events")
+        Published = S.Value;
+    EXPECT_EQ(Published, T.size()) << runModeName(Mode);
+    for (const LaneReport &L : R.Lanes)
+      EXPECT_EQ(L.EventsConsumed, T.size())
+          << runModeName(Mode) << "/" << L.DetectorName;
+    expectAnalyzeMatchesOracle(T, Cfg, runModeName(Mode));
   }
 }
 
-TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
-  // The per-variable sharded lane mode (Opts.VarShards) must be invisible
-  // in the results: capture-capable lanes (HB, WCP, and FastTrack via its
-  // epoch replayer) go through the clock pass + shard check + merge
-  // machinery, the rest (Eraser) fall back to a sequential walk, and every
-  // lane's report stays bit-identical to runDetector for any shard or
-  // thread count.
+// Threads only size the pool of the pool-backed modes; for every worker
+// count both must still equal their oracles bit for bit.
+TEST(AnalyzeTraceTest, ThreadCountDoesNotChangeResults) {
+  Trace T = makeWorkload(workloadSpec("account"));
+  for (unsigned N : {1u, 2u, 4u, 8u}) {
+    AnalysisConfig Win = allLanesConfig(RunMode::Windowed, N);
+    Win.WindowEvents = 256;
+    expectAnalyzeMatchesOracle(T, Win,
+                               "windowed threads=" + std::to_string(N));
+    AnalysisConfig Var = allLanesConfig(RunMode::VarSharded, N);
+    Var.VarShards = 4;
+    expectAnalyzeMatchesOracle(T, Var,
+                               "var-sharded threads=" + std::to_string(N));
+  }
+}
+
+TEST(AnalyzeTraceTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
+  // Per-variable sharding must be invisible in the results: capture-
+  // capable lanes (HB, WCP, and FastTrack via its epoch replayer) go
+  // through the clock pass + shard check + merge machinery, the rest
+  // (Eraser) fall back to a sequential walk, and every lane's report
+  // stays bit-identical to runDetector for any shard or thread count.
   for (uint64_t Seed : {4u, 9u}) {
     Trace T = mediumRandomTrace(Seed);
     for (uint32_t Shards : {1u, 3u, 8u}) {
       for (unsigned Threads : {1u, 4u}) {
-        PipelineOptions Opts;
-        Opts.NumThreads = Threads;
-        Opts.VarShards = Shards;
-        PipelineResult R = makePipeline(Opts).run(T);
-        EXPECT_EQ(R.VarShards, Shards);
-        std::vector<NamedFactory> Lanes = allLanes();
-        ASSERT_EQ(R.Lanes.size(), Lanes.size());
-        for (size_t L = 0; L != Lanes.size(); ++L) {
-          EXPECT_TRUE(R.Lanes[L].Error.empty()) << R.Lanes[L].Error;
-          std::unique_ptr<Detector> D = Lanes[L].Make(T);
-          RunResult Want = runDetector(*D, T);
-          expectSameReport(R.Lanes[L].Report, Want.Report, T,
-                           "varshards=" + std::to_string(Shards) +
-                               " threads=" + std::to_string(Threads) + "/" +
-                               Lanes[L].Name);
-        }
+        AnalysisConfig Cfg = allLanesConfig(RunMode::VarSharded, Threads);
+        Cfg.VarShards = Shards;
+        EXPECT_EQ(analyzeTrace(Cfg, T).VarShards, Shards);
+        expectAnalyzeMatchesOracle(T, Cfg,
+                                   "varshards=" + std::to_string(Shards) +
+                                       " threads=" + std::to_string(Threads));
       }
     }
   }
 }
 
-// ---- Sharded (windowed) mode ------------------------------------------------
+// ---- Windowed mode ----------------------------------------------------------
 
-TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
+TEST(AnalyzeTraceTest, WindowedMatchesReferenceLoop) {
   // Reference: the classic sequential windowed loop — fresh detector per
   // window, indices translated to the parent trace, merged in window
-  // order. The sharded parallel pipeline must reproduce it exactly.
+  // order — spelled out here independently of runDetectorWindowed. The
+  // pool-backed windowed mode must reproduce it exactly.
   Trace T = makeWorkload(workloadSpec("bufwriter"), 0.05);
   for (uint64_t W : {64u, 500u, 4096u}) {
     for (NamedFactory &F : allLanes()) {
@@ -213,12 +235,12 @@ TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
         Want.mergeFrom(Translated);
       }
 
-      PipelineOptions Opts;
-      Opts.NumThreads = 4;
-      Opts.ShardEvents = W;
-      AnalysisPipeline P(Opts);
-      P.addDetector(F.Make);
-      PipelineResult R = P.run(T);
+      AnalysisConfig Cfg;
+      Cfg.Mode = RunMode::Windowed;
+      Cfg.WindowEvents = W;
+      Cfg.Threads = 4;
+      Cfg.addDetector(F.Make);
+      AnalysisResult R = analyzeTrace(Cfg, T);
       ASSERT_EQ(R.Lanes.size(), 1u);
       EXPECT_EQ(R.Lanes[0].DetectorName,
                 std::string(F.Name) + "[w=" + std::to_string(W) + "]");
@@ -228,9 +250,9 @@ TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
   }
 }
 
-TEST(PipelineTest, WindowedRunnerAdapterKeepsItsContract) {
-  // runDetectorWindowed is now an adapter over the pipeline; it must still
-  // agree with the unwindowed run when one window spans the whole trace.
+TEST(AnalyzeTraceTest, WindowedOracleWholeWindowIsUnwindowed) {
+  // runDetectorWindowed is the windowed oracle; it must agree with the
+  // unwindowed run when one window spans the whole trace.
   Trace T = makeWorkload(workloadSpec("mergesort"));
   RaceReport Full = testutil::run<HbDetector>(T);
   DetectorFactory Make = [](const Trace &F) {
@@ -239,6 +261,9 @@ TEST(PipelineTest, WindowedRunnerAdapterKeepsItsContract) {
   RunResult Whole = runDetectorWindowed(Make, T, T.size());
   EXPECT_EQ(Whole.DetectorName, "HB[w=" + std::to_string(T.size()) + "]");
   expectSameReport(Whole.Report, Full, T, "whole-window");
+  RunResult Unwindowed = runDetectorWindowed(Make, T, 0);
+  EXPECT_EQ(Unwindowed.DetectorName, "HB");
+  expectSameReport(Unwindowed.Report, Full, T, "window 0");
 }
 
 // ---- Streaming ingestion ----------------------------------------------------
@@ -343,53 +368,6 @@ TEST(ChunkedReaderTest, MalformedLineReportsLineNumber) {
   EXPECT_NE(R.Error.find("line 3"), std::string::npos) << R.Error;
   EXPECT_NE(R.Error.find("frobnicate"), std::string::npos) << R.Error;
   std::remove(Path.c_str());
-}
-
-TEST(PipelineTest, RunFileMatchesInMemoryRun) {
-  Trace T = mediumRandomTrace(5);
-  std::string Path = tempPath("runfile.bin");
-  ASSERT_EQ(saveTraceFile(T, Path), "");
-  PipelineOptions Opts;
-  Opts.NumThreads = 2;
-  AnalysisPipeline P = makePipeline(Opts);
-  std::string Error;
-  Trace Loaded;
-  PipelineResult FromFile = P.runFile(Path, Error, &Loaded);
-  ASSERT_TRUE(Error.empty()) << Error;
-  expectSameTrace(Loaded, T);
-  PipelineResult InMemory = P.run(T);
-  ASSERT_EQ(FromFile.Lanes.size(), InMemory.Lanes.size());
-  for (size_t L = 0; L != FromFile.Lanes.size(); ++L)
-    expectSameReport(FromFile.Lanes[L].Report, InMemory.Lanes[L].Report, T,
-                     "runFile lane " + std::to_string(L));
-  std::remove(Path.c_str());
-
-  PipelineResult Missing = P.runFile("/nonexistent/x.bin", Error);
-  EXPECT_FALSE(Error.empty());
-  EXPECT_TRUE(Missing.Lanes.empty());
-}
-
-TEST(PipelineTest, ThrowingLaneFailsAloneWithoutSinkingTheRun) {
-  // One detector factory throws; its lane reports the error while every
-  // other lane completes normally and the process survives.
-  Trace T = makeWorkload(workloadSpec("pingpong"));
-  PipelineOptions Opts;
-  Opts.NumThreads = 2;
-  AnalysisPipeline P(Opts);
-  P.addDetector(
-      [](const Trace &F) { return std::make_unique<HbDetector>(F); }, "HB");
-  P.addDetector(
-      [](const Trace &) -> std::unique_ptr<Detector> {
-        throw std::runtime_error("detector exploded");
-      },
-      "Boom");
-  PipelineResult R = P.run(T);
-  ASSERT_EQ(R.Lanes.size(), 2u);
-  EXPECT_TRUE(R.Lanes[0].Error.empty()) << R.Lanes[0].Error;
-  EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u);
-  EXPECT_NE(R.Lanes[1].Error.find("detector exploded"), std::string::npos)
-      << R.Lanes[1].Error;
-  EXPECT_EQ(R.Lanes[1].Report.numDistinctPairs(), 0u);
 }
 
 TEST(ChunkedReaderTest, EmptyBinFileMatchesOneShotLoaderError) {

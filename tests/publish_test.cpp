@@ -7,14 +7,15 @@
 //   1. PublishedStore — the single-writer multi-reader chunked store the
 //      session streams through: directory math across chunk boundaries,
 //      watermark gating, stable element addresses, concurrent readers
-//      over the published prefix, and the stop handshake of
-//      waitPublished();
+//      over the published prefix, the stop handshake of waitPublished(),
+//      and adoption of a caller-owned array in place (analyzeTrace's
+//      zero-copy path);
 //   2. the session seqlock path end to end — a producer thread feeding
 //      randomized batch sizes races reader threads hammering
 //      partialResult()/exportTimeline() while every lane reads the
 //      prefix in place (run under TSan via RAPID_SANITIZE=thread), and
 //      a 100-seed fuzz pins the in-place lane walk bit-for-bit against
-//      the batch engine.
+//      sequential runDetector.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,7 +119,9 @@ TEST(PublishedStoreTest, WatermarkGatesVisibility) {
 
 // waitPublished returns Current (and only then) when the stop predicate
 // fires with nothing new; with news published it returns the watermark
-// even when the stop flag is already up.
+// even when the stop flag is already up — including news published after
+// the reader's watermark load but before it saw the flag (a producer's
+// last publish racing its stop).
 TEST(PublishedStoreTest, WaitPublishedStopHandshake) {
   PublishedStore<int> S;
   std::atomic<bool> Stop{true};
@@ -128,13 +131,29 @@ TEST(PublishedStoreTest, WaitPublishedStopHandshake) {
   S.publish(1);
   EXPECT_EQ(S.waitPublished(0, Counter(), Stopped), 1u);
   EXPECT_EQ(S.waitPublished(1, Counter(), Stopped), 1u);
-  // A parked reader must be woken by a publish from another thread.
+  // The stop predicate itself runs the final publish, so it lands exactly
+  // between the watermark load and the stop check.
+  bool Published = false;
+  auto PublishThenStop = [&] {
+    if (!Published) {
+      S.append(9);
+      S.publish(2);
+      Published = true;
+    }
+    return true;
+  };
+  EXPECT_EQ(S.waitPublished(1, Counter(), PublishThenStop), 2u)
+      << "the final publish before stop was lost";
+  S.append(10);
+  S.publish(3);
   Stop.store(false, std::memory_order_seq_cst);
+  EXPECT_EQ(S.waitPublished(2, Counter(), Stopped), 3u);
+  // A parked reader must be woken by a publish from another thread.
   std::thread Writer([&] {
     S.append(8);
-    S.publish(2);
+    S.publish(4);
   });
-  EXPECT_EQ(S.waitPublished(1, Counter(), Stopped), 2u);
+  EXPECT_EQ(S.waitPublished(3, Counter(), Stopped), 4u);
   Writer.join();
 }
 
@@ -183,6 +202,45 @@ TEST(PublishedStoreTest, ConcurrentReadersSeeExactPrefix) {
   EXPECT_EQ(Failures.load(), 0u);
 }
 
+// Adoption: the store's directory points into the caller's vector, so
+// every index — single reads and forRange sweeps across each chunk seam —
+// addresses the caller's element itself, the whole array is published at
+// once, and destroying the store leaves the vector intact (it never
+// frees borrowed chunks). Sizes straddle the 4096-element first chunk
+// and the start of the third chunk.
+TEST(PublishedStoreTest, AdoptReadsCallerStorageInPlace) {
+  for (uint64_t N : {uint64_t{0}, uint64_t{1}, uint64_t{4095}, uint64_t{4096},
+                     uint64_t{4097}, uint64_t{3 * 4096 + 1}}) {
+    std::vector<uint64_t> V(N);
+    for (uint64_t I = 0; I != N; ++I)
+      V[I] = I * 7 + 3;
+    {
+      PublishedStore<uint64_t> S;
+      S.adopt(V.data(), V.size());
+      EXPECT_EQ(S.published(), N);
+      EXPECT_EQ(S.size(), N);
+      for (uint64_t I = 0; I != N; ++I)
+        ASSERT_EQ(&S[I], &V[I]) << "N=" << N << " index " << I;
+      // Sweeps starting just below each chunk seam (4096, 12288) plus the
+      // full range.
+      for (uint64_t From : {uint64_t{0}, uint64_t{4094}, uint64_t{12286}}) {
+        if (From > N)
+          continue;
+        uint64_t Next = From;
+        S.forRange(From, N, [&](const uint64_t &E, uint64_t I) {
+          ASSERT_EQ(I, Next);
+          ASSERT_EQ(&E, &V[I]) << "N=" << N << " index " << I;
+          ++Next;
+        });
+        EXPECT_EQ(Next, N) << "N=" << N << " from " << From;
+      }
+    }
+    ASSERT_EQ(V.size(), N);
+    for (uint64_t I = 0; I != N; ++I)
+      ASSERT_EQ(V[I], I * 7 + 3) << "N=" << N << " index " << I;
+  }
+}
+
 // ---- Session seqlock path under fire ----------------------------------------
 
 // The tentpole stress: a producer thread pushes randomized batch sizes
@@ -191,7 +249,7 @@ TEST(PublishedStoreTest, ConcurrentReadersSeeExactPrefix) {
 // exportTimeline(). Every snapshot must be internally consistent —
 // EventsIngested monotone, every lane within the watermark, every race
 // index below the lane's consumed frontier — and the final report must
-// match the batch engine bit for bit. TSan (RAPID_SANITIZE=thread)
+// match runDetector bit for bit. TSan (RAPID_SANITIZE=thread)
 // exercises the watermark/eventcount orderings directly here.
 TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
   const uint64_t Seed = GetParam();
@@ -252,7 +310,7 @@ TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
   EXPECT_FALSE(S.exportTimeline().empty());
 }
 
-// In-place lane reads vs the batch engine, bit for bit: 50 seeds x
+// In-place lane reads vs runDetector, bit for bit: 50 seeds x
 // {no-forkjoin, forkjoin} = 100 traces through a fused session with a
 // small drain size (many watermark rounds), each lane pinned against an
 // independent sequential run.
