@@ -73,7 +73,7 @@ struct Options {
   uint32_t Shards = 0;
   uint64_t StreamBatch = 0;
   uint64_t DrainBatch = 0;
-  uint64_t BudgetLag = 1u << 20;
+  uint64_t BudgetLag = ServeBudgets().MaxLagEvents;
   uint64_t MaxEvents = 0;
   unsigned IngestThreads = 2;
   uint64_t MaxSessions = 0;
@@ -108,7 +108,7 @@ void printHelp() {
       "serving:\n"
       "  --socket PATH     Unix-domain socket to listen on (required)\n"
       "  --budget-lag N    park a client once published-minus-consumed\n"
-      "                    lag exceeds N events (default 1048576; 0 off)\n"
+      "                    lag exceeds N events (default 16384; 0 off)\n"
       "  --max-events N    hard per-session event budget (0 = unlimited)\n"
       "  --ingest-threads N  shared decode/feed pool width (default 2)\n"
       "  --fifo PATH       also pump a FIFO feed into its own session\n"

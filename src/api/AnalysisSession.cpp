@@ -114,7 +114,10 @@ struct LaneRuntime {
   std::string Name;      ///< Resolved once the detector first exists.
   RaceReport Final;      ///< Set by the consumer at drain time.
   Status LaneStatus;
-  uint64_t Consumed = 0; ///< Events processed.
+  /// Events processed. Written under SnapM, but atomic so progress() can
+  /// read it without SnapM: a consumer re-takes SnapM right after each
+  /// batch, so a locking reader could wait until the lane drains.
+  std::atomic<uint64_t> Consumed{0};
   double Seconds = 0;    ///< Processing time, excluding waits.
   bool Done = false;
 
@@ -344,7 +347,7 @@ void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
           Rt.Seconds += Sec;
           Rt.ConsumeNs.add(toNs(Sec));
           Consumed = End;
-          Rt.Consumed = End;
+          Rt.Consumed.store(End, std::memory_order_release);
         }
         if (Rec) {
           Rec->span(Rt.Track, "consume", SpanStart, Rec->nowUs() - SpanStart);
@@ -435,7 +438,7 @@ void AnalysisSession::Impl::fusedConsumer() {
             double Sec = Clock.seconds();
             Rt.Seconds += Sec;
             Rt.ConsumeNs.add(toNs(Sec));
-            Rt.Consumed = End;
+            Rt.Consumed.store(End, std::memory_order_release);
           }
           if (Rec)
             Rec->span(Rt.Track, "consume", SpanStart,
@@ -552,7 +555,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
     if (!Err.empty())
       Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
     else
-      Rt.Consumed = Covered;
+      Rt.Consumed.store(Covered, std::memory_order_release);
     Rt.Done = true;
   }
 }
@@ -789,7 +792,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
           Rt.Seconds += Sec;
           Rt.ConsumeNs.add(toNs(Sec));
           Consumed = End;
-          Rt.Consumed = End;
+          Rt.Consumed.store(End, std::memory_order_release);
         }
         // Commit outside LogM (writer-side watermark stores), then
         // partition the committed range under LogM — the order drains
@@ -1226,7 +1229,7 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
       Lane.DetectorName = Rt.Name.empty() ? Rt.Fallback : Rt.Name;
       Lane.LaneStatus = Rt.LaneStatus;
       Lane.Seconds = Rt.Seconds;
-      Lane.EventsConsumed = Rt.Consumed;
+      Lane.EventsConsumed = Rt.Consumed.load(std::memory_order_relaxed);
       Done = Rt.Done;
       if (Done)
         Lane.Report = Rt.Final;
@@ -1480,10 +1483,8 @@ AnalysisSession::Progress AnalysisSession::progress() const {
   if (I->Cfg.Mode == RunMode::Windowed) {
     Min = std::min(Min, I->WinBuilt.load(std::memory_order_relaxed));
   } else {
-    for (auto &Rt : I->Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Min = std::min(Min, Rt->Consumed);
-    }
+    for (auto &Rt : I->Lanes)
+      Min = std::min(Min, Rt->Consumed.load(std::memory_order_acquire));
   }
   P.MinLaneConsumed = Min;
   return P;

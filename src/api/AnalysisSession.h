@@ -136,7 +136,8 @@ public:
 
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
-  /// past its budget). Cheap; safe to call concurrently with feeds and
+  /// past its budget). Cheap and takes no lane lock, so it never waits
+  /// on a lane mid-batch; safe to call concurrently with feeds and
   /// consumers, like partialResult().
   struct Progress {
     uint64_t Fed = 0;             ///< Events appended (>= Published).

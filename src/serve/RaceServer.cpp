@@ -15,6 +15,7 @@
 #include "support/ThreadPool.h"
 #include "support/TimerWheel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -359,10 +360,12 @@ struct RaceServer::Impl {
       Polled.clear();
       Fds.push_back({WakeR, POLLIN, 0});
       Fds.push_back({ListenFd, POLLIN, 0});
+      bool AnyParked = false;
       {
         std::lock_guard<std::mutex> G(M);
         for (auto &KV : Conns) {
           Conn &C = *KV.second;
+          AnyParked |= C.State == Conn::St::Parked;
           if (C.State == Conn::St::Streaming && !C.TaskInFlight &&
               !C.PeerClosed) {
             Fds.push_back({C.Src->pollFd(), POLLIN, 0});
@@ -370,7 +373,11 @@ struct RaceServer::Impl {
           }
         }
       }
-      ::poll(Fds.data(), Fds.size(), Cfg.PollTimeoutMs);
+      // A parked connection resumes only from recheckParked() below, and
+      // lanes drain half a budget in well under a poll tick: recheck
+      // every millisecond while any connection waits on its lanes.
+      ::poll(Fds.data(), Fds.size(),
+             AnyParked ? std::min(Cfg.PollTimeoutMs, 1) : Cfg.PollTimeoutMs);
       if (Fds[0].revents & POLLIN) {
         char Drain[64];
         while (::read(WakeR, Drain, sizeof(Drain)) > 0)

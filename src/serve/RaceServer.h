@@ -69,7 +69,7 @@ namespace rapid {
 struct ServeBudgets {
   /// Park a connection once its session's published-minus-consumed lag
   /// exceeds this many events (0 = never park).
-  uint64_t MaxLagEvents = 1u << 20;
+  uint64_t MaxLagEvents = 1u << 14;
   /// Hard cap on events per session (0 = unlimited). Exceeding it
   /// freezes the stream with an InvalidState error frame.
   uint64_t MaxSessionEvents = 0;
@@ -85,7 +85,8 @@ struct RaceServerConfig {
   unsigned IngestThreads = 2;
   /// Bytes per socket read.
   size_t ReadChunkBytes = 64 * 1024;
-  /// Poll tick; also the parked-connection recheck cadence.
+  /// Poll tick; while any connection is parked the IO thread rechecks
+  /// parked connections every millisecond instead.
   int PollTimeoutMs = 20;
   bool Metrics = true;
 

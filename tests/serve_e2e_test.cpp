@@ -290,9 +290,8 @@ TEST(ServeE2eTest, NineConcurrentSessionsWithBudgetsAndBackpressure) {
   // session, and the blaster definitely will. The slow lane must be
   // *decisively* slower than a preempted ingest task (2 ms/event vs a
   // burst-fed socket) or the park becomes a scheduling race on loaded
-  // hosts — and the stream batch must stay small, because consumers
-  // hold their snapshot lock per batch and a whole-trace batch would
-  // make the daemon's lag check wait out the lane and then read lag 0.
+  // hosts. The small stream batch keeps partial queries prompt: a
+  // consumer holds its snapshot lock for a whole batch.
   Server.Pid = spawn({P.Serverd, "--socket", Sock, "--hb", "--quiet",
                       "--debug-slow-us", "2000", "--stream-batch", "32",
                       "--budget-lag", "64"});

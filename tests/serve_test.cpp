@@ -526,13 +526,12 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   // (one bounded 1 ms sleep per event — ~1k events/s against a ~2k-event
   // trace fed in one burst), so whenever the ingest-side lag check runs
   // it sees the lag far over the tiny budget and parks the connection.
-  // Two non-solutions informed this shape: a merely-*slow* lane (tens of
-  // µs per event) loses the race against a preempted ingest task on a
-  // loaded ctest -j host, and a lane that *blocks* outright deadlocks
-  // the check itself — consumers hold their SnapM for a whole stream
-  // batch, and progress() (which the lag check calls) takes every
-  // lane's SnapM. Bounded sleeps + a small StreamBatchEvents keep SnapM
-  // hold times short without letting the lane keep pace. The contract
+  // A merely-*slow* lane (tens of µs per event) would lose the race
+  // against a preempted ingest task on a loaded ctest -j host. Bounded
+  // sleeps keep the lane decisively behind without ever blocking it, so
+  // the gate can still release it. progress() (which the lag check
+  // calls) reads each lane's consumed count without the lane's snapshot
+  // lock, so the check sees the lag while a batch is in flight. The contract
   // under test: parks > 0, yet every event is eventually analyzed —
   // backpressure, not loss.
   Trace T = makeWorkload(workloadSpec("mergesort"));
