@@ -7,6 +7,9 @@
 // on the same workload trace — HB (Djit+-style), FastTrack (the epoch
 // optimization the paper's conclusion proposes), WCP (Algorithm 1) and
 // Eraser (the unsound-but-fast lockset baseline of §1's taxonomy).
+// HB and WCP also run on eclipse (14 threads, 8263 locks, scale 0.25):
+// lock-heavy traces with wide clocks are where WCP's per-lock queues and
+// release cells cost the most relative to HB.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +31,14 @@ const Trace &workloadTrace() {
   return T;
 }
 
-template <typename D> void detectorThroughput(benchmark::State &State) {
-  const Trace &T = workloadTrace();
+const Trace &eclipseTrace() {
+  static Trace T = makeWorkload(workloadSpec("eclipse"), 0.25);
+  return T;
+}
+
+template <typename D>
+void detectorThroughput(benchmark::State &State,
+                        const Trace &T = workloadTrace()) {
   for (auto _ : State) {
     D Detector(T);
     for (EventIdx I = 0; I != T.size(); ++I)
@@ -46,11 +55,19 @@ void FastTrack(benchmark::State &S) {
 }
 void Wcp(benchmark::State &S) { detectorThroughput<WcpDetector>(S); }
 void Eraser(benchmark::State &S) { detectorThroughput<EraserDetector>(S); }
+void HbEclipse(benchmark::State &S) {
+  detectorThroughput<HbDetector>(S, eclipseTrace());
+}
+void WcpEclipse(benchmark::State &S) {
+  detectorThroughput<WcpDetector>(S, eclipseTrace());
+}
 
 BENCHMARK(Hb);
 BENCHMARK(FastTrack);
 BENCHMARK(Wcp);
 BENCHMARK(Eraser);
+BENCHMARK(HbEclipse);
+BENCHMARK(WcpEclipse);
 
 } // namespace
 

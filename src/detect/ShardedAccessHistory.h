@@ -108,7 +108,13 @@ struct ShardPlan {
 };
 
 /// One deferred read/write: everything its race check needs, with the
-/// event's clocks referenced into the broadcast table.
+/// event's clocks referenced into the broadcast table. The snapshots stand
+/// in for C_e on every component *except* the accessing thread's own:
+/// replayers never read C_e(t(e)) (AccessHistory::checkAgainst skips
+/// Self, and FastTrack's replay guards each epoch test with
+/// Thread != T), and the access carries that component as N. Capturing
+/// detectors rely on this to keep their snapshot epoch across local
+/// clock increments.
 struct DeferredAccess {
   static constexpr uint32_t NoClock = UINT32_MAX;
 
@@ -133,7 +139,10 @@ struct DeferredAccess {
 /// no per-access O(threads) content compare, which is what used to
 /// re-serialize clocks in the capture pass. When the epoch did change the
 /// content compare still runs, preserving the dedup of no-op joins.
-/// Epoch 0 means "no epoch tracking": always content-compare.
+/// Epoch 0 means "no epoch tracking": always content-compare. Detectors
+/// do not bump the epoch when only the owning thread's own component
+/// changed (a local increment), so a reused snapshot may hold a stale
+/// C_t(t) — harmless, since no replayer reads it (see DeferredAccess).
 ///
 /// The per-thread dedup tables grow on first intern, so threads admitted
 /// mid-stream need no rebuild (the constructor count is a sizing hint).

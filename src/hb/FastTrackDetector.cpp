@@ -78,15 +78,13 @@ void FastTrackDetector::processEvent(const Event &E, EventIdx Index) {
 
   case EventKind::Release:
     LockClocks[E.lock().value()] = Ct;
-    incrementLocal(T);
-    ++ClockEpochs[T.value()];
+    incrementLocal(T); // Only C_t(t) changes: no epoch bump.
     return;
 
   case EventKind::Fork:
     if (ThreadClocks[E.targetThread().value()].joinWith(Ct))
       ++ClockEpochs[E.targetThread().value()];
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     return;
 
   case EventKind::Join:

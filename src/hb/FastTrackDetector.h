@@ -86,7 +86,7 @@ private:
   uint32_t NumThreads; ///< High-water thread count (promotion sizing).
   std::vector<VectorClock> ThreadClocks;
   /// Change epoch of C_t (see HbDetector::ClockEpochs): O(1) snapshot
-  /// dedup in capture mode.
+  /// dedup in capture mode; local increments do not bump it.
   std::vector<uint64_t> ClockEpochs;
   std::vector<VectorClock> LockClocks;
   std::vector<VarState> Vars;

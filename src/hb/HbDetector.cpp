@@ -61,9 +61,8 @@ void HbDetector::processEvent(const Event &E, EventIdx Index) {
   case EventKind::Release:
     LockClocks[E.lock().value()] = Ct;
     // Later events of T must not appear ordered before events that only
-    // synchronized with this release.
+    // synchronized with this release. Only C_t(t) changes: no epoch bump.
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     break;
 
   case EventKind::Fork: {
@@ -71,7 +70,6 @@ void HbDetector::processEvent(const Event &E, EventIdx Index) {
     if (ThreadClocks[Child.value()].joinWith(Ct))
       ++ClockEpochs[Child.value()];
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     break;
   }
 

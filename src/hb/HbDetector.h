@@ -63,11 +63,13 @@ private:
   void ensureLock(LockId L);
 
   std::vector<VectorClock> ThreadClocks; ///< C_t per thread.
-  /// Change epoch of C_t, bumped whenever C_t mutates (acquire joins that
-  /// added something, release/fork increments, join joins). Capture mode
-  /// hands it to the ClockBroadcast so consecutive accesses between sync
-  /// events intern their snapshot in O(1) instead of an O(threads)
-  /// content compare.
+  /// Change epoch of C_t, bumped whenever a component other than C_t(t)
+  /// mutates (acquire and join joins that added something). The
+  /// release/fork increments touch only C_t(t), which no race check reads
+  /// (the access carries it as DeferredAccess::N), so they leave the epoch
+  /// alone. Capture mode hands it to the ClockBroadcast so consecutive
+  /// accesses between sync events intern their snapshot in O(1) instead
+  /// of an O(threads) content compare.
   std::vector<uint64_t> ClockEpochs;
   std::vector<VectorClock> LockClocks;   ///< L_l per lock.
   AccessHistory History;

@@ -84,9 +84,7 @@ public:
 
 private:
   bool isEnabled(const State &St, uint32_t Tid, EventIdx &OutEvent) const;
-  void checkRaces(const State &St,
-                  const std::vector<std::pair<uint32_t, EventIdx>> &Enabled,
-                  McmResult &Result, bool &Stop);
+  void checkRaces(const State &St, McmResult &Result, bool &Stop);
   void checkDeadlock(const State &St, McmResult &Result, bool &Stop);
   std::vector<EventIdx> reconstructPath(uint32_t StateId) const;
   void recordRace(EventIdx A, EventIdx B, const State &St, McmResult &Result,
@@ -171,9 +169,7 @@ void Explorer::recordRace(EventIdx A, EventIdx B, const State &St,
     Stop = true;
 }
 
-void Explorer::checkRaces(
-    const State &St, const std::vector<std::pair<uint32_t, EventIdx>> &Enabled,
-    McmResult &Result, bool &Stop) {
+void Explorer::checkRaces(const State &St, McmResult &Result, bool &Stop) {
   // A race is two threads whose *next* events are conflicting accesses:
   // the current prefix followed by the two accesses back-to-back is the
   // paper's race-revealing reordering. The racing accesses themselves are
@@ -296,7 +292,7 @@ McmResult Explorer::run() {
         Enabled.emplace_back(Tid, I);
     }
 
-    checkRaces(St, Enabled, Result, Stop);
+    checkRaces(St, Result, Stop);
     if (Opts.DetectDeadlocks)
       checkDeadlock(St, Result, Stop);
     if (Stop)

@@ -113,8 +113,7 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
     ThreadId Child = E.targetThread();
     if (ThreadClocks[Child.value()].joinWith(Ct))
       ++ClockEpochs[Child.value()];
-    incrementLocal(T);
-    ++ClockEpochs[T.value()];
+    incrementLocal(T); // Only C_t(t) changes: no epoch bump.
     break;
   }
 

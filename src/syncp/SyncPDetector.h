@@ -105,7 +105,9 @@ private:
   /// reorder whole critical sections, so only these "hard" edges are
   /// sound for pruning candidate pairs.
   std::vector<VectorClock> ThreadClocks;
-  std::vector<uint64_t> ClockEpochs; ///< Change epochs (capture dedup).
+  /// Change epochs (capture dedup), bumped only when a component other
+  /// than C_t(t) changes (see HbDetector::ClockEpochs).
+  std::vector<uint64_t> ClockEpochs;
   SyncPIndex Index;
   SyncPTelemetry Tel;
   SyncPShardContext Ctx{Index, Tel};

@@ -10,15 +10,15 @@
 
 using namespace rapid;
 
-bool VectorClock::joinWith(const VectorClock &Other) {
+bool VectorClock::joinWith(ClockSpan Other) {
   // Components beyond Other's physical size are 0 in Other, so only the
   // overlap needs the max; beyond our own size we adopt Other's values.
-  if (Other.Values.size() > Values.size())
-    Values.resize(Other.Values.size(), 0);
-  const ClockValue *Src = Other.Values.data();
+  if (Other.Size > Values.size())
+    Values.resize(Other.Size, 0);
+  const ClockValue *Src = Other.Data;
   ClockValue *Dst = Values.data();
   bool Changed = false;
-  for (size_t I = 0, E = Other.Values.size(); I != E; ++I) {
+  for (size_t I = 0, E = Other.Size; I != E; ++I) {
     if (Src[I] > Dst[I]) {
       Dst[I] = Src[I];
       Changed = true;
@@ -27,19 +27,24 @@ bool VectorClock::joinWith(const VectorClock &Other) {
   return Changed;
 }
 
-bool VectorClock::lessOrEqual(const VectorClock &Other) const {
-  const ClockValue *A = Values.data();
-  const ClockValue *B = Other.Values.data();
-  const size_t Mine = Values.size();
-  const size_t Common = std::min(Mine, Other.Values.size());
+bool ClockSpan::lessOrEqual(const VectorClock &Other) const {
+  const ClockValue *A = Data;
+  const ClockValue *B = Other.data();
+  const size_t Common = std::min<size_t>(Size, Other.size());
   for (size_t I = 0; I != Common; ++I)
     if (A[I] > B[I])
       return false;
   // Our tail past Other's physical size compares against implicit zeros.
-  for (size_t I = Common; I != Mine; ++I)
+  for (size_t I = Common; I != Size; ++I)
     if (A[I] != 0)
       return false;
   return true;
+}
+
+void VectorClock::copyTo(ClockValue *Dst, uint32_t Width) const {
+  assert(Width >= size() && "destination narrower than the clock");
+  std::copy(Values.begin(), Values.end(), Dst);
+  std::fill(Dst + size(), Dst + Width, 0);
 }
 
 bool VectorClock::operator==(const VectorClock &Other) const {

@@ -41,6 +41,19 @@ namespace rapid {
 /// A single component of a vector time: the local time of one thread.
 using ClockValue = uint32_t;
 
+class VectorClock;
+
+/// Read-only view of a vector time stored outside a VectorClock (detectors
+/// keep clocks they copy per event in flat arenas). Same implicit-zero
+/// extension: components at or beyond Size read as 0.
+struct ClockSpan {
+  const ClockValue *Data = nullptr;
+  uint32_t Size = 0;
+
+  /// Pointwise comparison against \p Other, with implicit-zero tails.
+  bool lessOrEqual(const VectorClock &Other) const;
+};
+
 /// Vector time over an open-ended set of threads (paper §3.1): components
 /// beyond the physical size are implicitly 0.
 class VectorClock {
@@ -72,10 +85,13 @@ public:
   /// size when Other is wider. Returns true iff any component changed —
   /// the hook detectors use to keep their clock epochs (and with them the
   /// ClockBroadcast snapshot dedup) precise without a content compare.
-  bool joinWith(const VectorClock &Other);
+  bool joinWith(const VectorClock &Other) { return joinWith(Other.span()); }
+  bool joinWith(ClockSpan Other);
 
   /// Pointwise comparison: *this ⊑ Other, with implicit-zero tails.
-  bool lessOrEqual(const VectorClock &Other) const;
+  bool lessOrEqual(const VectorClock &Other) const {
+    return span().lessOrEqual(Other);
+  }
 
   /// Resets every component to zero (⊥). Keeps the physical capacity.
   void clear();
@@ -94,6 +110,13 @@ public:
   /// physical components are addressable.
   const ClockValue *data() const { return Values.data(); }
   ClockValue *data() { return Values.data(); }
+
+  /// The physical components as a span.
+  ClockSpan span() const { return ClockSpan{Values.data(), size()}; }
+
+  /// Copies the physical components into \p Dst and zero-fills it up to
+  /// \p Width (>= size()): the stored copy is semantically this clock.
+  void copyTo(ClockValue *Dst, uint32_t Width) const;
 
 private:
   std::vector<ClockValue> Values;

@@ -16,9 +16,9 @@ using namespace rapid;
 WcpDetector::WcpDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       Threads(T.numThreads(), WcpThreadState(T.numThreads())),
-      Locks(T.numLocks(), WcpLockState(T.numThreads())),
-      History(T.numVars(), T.numThreads()) {
+      Locks(T.numLocks()), History(T.numVars(), T.numThreads()) {
   // Initialization (§3.2): N_t = 1, P_t = ⊥, H_t = K_t = ⊥[t := N_t].
+  // Lock state (P_ℓ = H_ℓ = ⊥, empty queues) is implicit until first use.
   for (uint32_t I = 0; I < NumThreads; ++I) {
     Threads[I].H.set(ThreadId(I), 1);
     Threads[I].K.set(ThreadId(I), 1);
@@ -50,26 +50,32 @@ VectorClock WcpDetector::currentC(ThreadId T) const {
   return C;
 }
 
-bool WcpDetector::frontLeqCt(const VectorClock &Front,
-                             const WcpThreadState &TS, ThreadId T) const {
+bool WcpDetector::frontLeqCt(ClockSpan Front, const WcpThreadState &TS,
+                             ThreadId T) const {
   // The guard tests "acquire ordered before this release" — hard
   // (fork/join) order counts, so the comparison is against P_t ⊔ K_t.
   // Only Front's physical components can exceed anything (the implicit
   // tail is 0), so the loop bound is Front's size, not the thread count.
-  for (uint32_t U = 0, E = Front.size(); U < E; ++U) {
+  for (uint32_t U = 0, E = Front.Size; U < E; ++U) {
     ClockValue Mine =
         U == T.value()
             ? TS.N
             : std::max(TS.P.get(ThreadId(U)), TS.K.get(ThreadId(U)));
-    if (Front.get(ThreadId(U)) > Mine)
+    if (Front.Data[U] > Mine)
       return false;
   }
   return true;
 }
 
 void WcpDetector::ensureThread(ThreadId T) {
-  if (T.value() >= NumThreads)
+  if (T.value() >= NumThreads) {
+    // The new threads' abstract queues hold every entry still buffered
+    // (they will pop them, never the collected ones: their cursors start
+    // at Base), so the abstract count stays exact and non-negative.
+    bumpAbstract(static_cast<int64_t>((T.value() + 1 - NumThreads) *
+                                      QueuedWeight));
     NumThreads = T.value() + 1;
+  }
   if (T.value() < Threads.size())
     return;
   uint32_t Old = static_cast<uint32_t>(Threads.size());
@@ -83,7 +89,7 @@ void WcpDetector::ensureThread(ThreadId T) {
 
 void WcpDetector::ensureLock(LockId L) {
   if (L.value() >= Locks.size())
-    Locks.resize(L.value() + 1, WcpLockState());
+    Locks.resize(L.value() + 1);
 }
 
 void WcpDetector::collectLockGarbage(WcpLockState &LS) {
@@ -96,28 +102,16 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
   // point *any* release of this lock publishes a P_ℓ ⊒ ReleaseTime, and
   // a future thread must acquire (joining P_ℓ) before it can release and
   // walk the queue — its pop of the entry would be a no-op join. New
-  // cursors therefore start at Base (WcpLockState::cursorOf).
+  // cursors therefore start at Base (WcpLockState::thread).
   uint64_t End = LS.collectibleEnd(NumThreads);
-  while (LS.Base < End && !LS.Entries.empty()) {
-    const WcpQueueEntry &E = LS.Entries.front();
-    if (!E.HasRelease ||
-        !E.ReleaseTime.lessOrEqual(Threads[E.Thread.value()].P))
+  while (LS.Base < End && LS.numRecords() != 0) {
+    WcpQueueEntry E = LS.entry(LS.Base);
+    if (!E.hasRelease() ||
+        !E.releaseTime().lessOrEqual(Threads[E.thread().value()].P))
       break;
-    LS.Entries.pop_front();
-    ++LS.Base;
+    LS.popFront();
+    QueuedWeight -= 2;
   }
-}
-
-const PerThreadReleaseClocks *WcpDetector::readRelease(LockId L,
-                                                       VarId X) const {
-  auto It = ReadReleases.find(lockVarKey(L, X));
-  return It == ReadReleases.end() ? nullptr : &It->second;
-}
-
-const PerThreadReleaseClocks *WcpDetector::writeRelease(LockId L,
-                                                        VarId X) const {
-  auto It = WriteReleases.find(lockVarKey(L, X));
-  return It == WriteReleases.end() ? nullptr : &It->second;
 }
 
 void WcpDetector::bumpAbstract(int64_t Delta) {
@@ -134,51 +128,57 @@ void WcpDetector::bumpLive(int64_t Delta) {
     Stats.MaxLiveQueueEntries = static_cast<uint64_t>(CurrentLive);
 }
 
+void WcpDetector::enqueueForOthers(WcpLockState &LS, ThreadId T) {
+  bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
+  // Only touchers' queues are live; T (holding the lock) is one of them,
+  // and touchers beyond the per-thread array's physical size don't exist.
+  if (LS.Touchers != WcpLockState::ManyThreads)
+    return;
+  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Threads.size()); U < E;
+       ++U) {
+    if (U != T.value() && LS.Threads[U].Touched) {
+      ++LS.Threads[U].Live;
+      bumpLive(1);
+    }
+  }
+}
+
 void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   WcpThreadState &TS = Threads[T.value()];
   WcpLockState &LS = Locks[L.value()];
 
-  // Lines 1-2: receive the H/P times of the last release of ℓ.
-  TS.H.joinWith(LS.H);
-  if (TS.P.joinWith(LS.P))
-    ++TS.PEpoch;
+  // Lines 1-2: receive the H/P times of the last release of ℓ (no-ops if
+  // that release was our own).
+  if (LS.LastReleaser != T.value()) {
+    TS.H.joinWith(LS.H());
+    if (TS.P.joinWith(LS.P()))
+      ++TS.PEpoch;
+  }
 
   // First contact with ℓ: this thread's abstract queues become live, and
   // all pending entries of other threads now count against them.
   if (!LS.touched(T.value())) {
-    LS.setTouched(T.value());
     uint64_t Pending = 0;
     for (uint64_t I = LS.Base; I < LS.logicalEnd(); ++I) {
-      const WcpQueueEntry &E = LS.entry(I);
-      if (E.Thread != T)
-        Pending += E.HasRelease ? 2 : 1;
+      WcpQueueEntry E = LS.entry(I);
+      if (E.thread() != T)
+        Pending += E.hasRelease() ? 2 : 1;
     }
-    LS.liveCountOf(T.value()) = Pending;
+    LS.touch(T.value());
+    LS.thread(T.value()).Live = Pending;
     bumpLive(static_cast<int64_t>(Pending));
   }
 
-  // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared entry
+  // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared record
   // stands for all T-1 abstract copies.
-  WcpQueueEntry Entry;
-  Entry.AcquireTime = TS.P;
-  Entry.AcquireTime.set(T, TS.N); // Materialize C_t = P_t[t := N_t].
-  Entry.Thread = T;
-  uint64_t LogicalIdx = LS.logicalEnd();
-  LS.Entries.push_back(std::move(Entry));
-  bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  // Touchers beyond Touched's physical size don't exist, so its size
-  // bounds the live accounting loop.
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Touched.size()); U < E;
-       ++U) {
-    if (U != T.value() && LS.Touched[U]) {
-      ++LS.liveCountOf(U);
-      bumpLive(1);
-    }
-  }
-  Stats.MaxSharedQueueEntries = std::max(
-      Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
+  uint64_t LogicalIdx = LS.pushAcquire(T, TS.P, TS.N, NumThreads);
+  ++QueuedWeight;
+  enqueueForOthers(LS, T);
+  Stats.MaxSharedQueueEntries =
+      std::max(Stats.MaxSharedQueueEntries, LS.numRecords());
 
-  TS.CsStack.push_back(WcpCsFrame{L, LogicalIdx, {}, {}});
+  TS.CsStack.push_back(WcpCsFrame{L, LogicalIdx, TS.CsLog.size(),
+                                  LS.releasedByOtherThan(T)});
 }
 
 void WcpDetector::handleRelease(ThreadId T, LockId L) {
@@ -189,33 +189,34 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // acquire is already ⊑ C_t; their release H-times become WCP
   // predecessors of this release. C_t changes as P_t grows, so the guard
   // is re-evaluated every iteration, exactly like the pseudocode's while.
-  uint64_t &Cur = LS.cursorOf(T.value());
-  uint64_t &MyLive = LS.liveCountOf(T.value());
+  WcpLockThread &Mine = LS.thread(T.value());
+  uint64_t &Cur = Mine.Cursor;
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
-    while (Cur < LS.logicalEnd() && LS.entry(Cur).Thread == T)
+    while (Cur < LS.logicalEnd() && LS.entry(Cur).thread() == T)
       ++Cur;
     if (Cur >= LS.logicalEnd())
       break;
-    WcpQueueEntry &Front = LS.entry(Cur);
-    if (!frontLeqCt(Front.AcquireTime, TS, T))
+    WcpQueueEntry Front = LS.entry(Cur);
+    if (!frontLeqCt(Front.acquireTime(), TS, T))
       break;
     // Lock semantics guarantees this critical section closed before our
     // matching acquire, so its release time is present (see WcpState.h).
-    assert(Front.HasRelease && "popping an open critical section");
-    if (TS.P.joinWith(Front.ReleaseTime))
+    assert(Front.hasRelease() && "popping an open critical section");
+    if (TS.P.joinWith(Front.releaseTime()))
       ++TS.PEpoch;
     ++Cur;
     bumpAbstract(-2); // One entry leaves Acq_ℓ(T) and one leaves Rel_ℓ(T).
-    assert(MyLive >= 2 && "live count out of sync");
-    MyLive -= 2;
+    assert(Mine.Live >= 2 && "live count out of sync");
+    Mine.Live -= 2;
     bumpLive(-2);
   }
 
   // Lines 7-8: Rule (a) bookkeeping. Publish H_t into L^r/L^w for every
-  // variable this critical section read (R) or wrote (W). Hand-over-hand
-  // locking means the released section need not be the innermost one.
+  // variable this critical section read (R) or wrote (W): the access-log
+  // suffix since its acquire. Hand-over-hand locking means the released
+  // section need not be the innermost one.
   size_t FrameIdx = TS.CsStack.size();
   for (size_t K = TS.CsStack.size(); K-- > 0;) {
     if (TS.CsStack[K].Lock == L) {
@@ -224,38 +225,37 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
     }
   }
   assert(FrameIdx < TS.CsStack.size() && "release without open section");
-  WcpCsFrame Frame = std::move(TS.CsStack[FrameIdx]);
+  WcpCsFrame Frame = TS.CsStack[FrameIdx];
   TS.CsStack.erase(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx));
 
-  auto dedupe = [](std::vector<uint32_t> &Vars) {
-    std::sort(Vars.begin(), Vars.end());
-    Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
-  };
-  dedupe(Frame.ReadVars);
-  dedupe(Frame.WriteVars);
-  for (uint32_t X : Frame.ReadVars)
-    ReadReleases[lockVarKey(L, VarId(X))].add(T.value(), TS.H);
-  for (uint32_t X : Frame.WriteVars)
-    WriteReleases[lockVarKey(L, VarId(X))].add(T.value(), TS.H);
+  ReleaseScratch.assign(TS.CsLog.begin() + Frame.LogStart, TS.CsLog.end());
+  std::sort(ReleaseScratch.begin(), ReleaseScratch.end());
+  ReleaseScratch.erase(
+      std::unique(ReleaseScratch.begin(), ReleaseScratch.end()),
+      ReleaseScratch.end());
+  for (uint64_t A : ReleaseScratch)
+    Releases.store(L, VarId(static_cast<uint32_t>(A >> 1)), A & 1, T, TS.H);
+
+  // The log prefix before the outermost open section's start is dead;
+  // drop it once it is at least half the log (amortized O(1) per access).
+  if (TS.CsStack.empty()) {
+    TS.CsLog.clear();
+  } else if (size_t Dead = TS.CsStack.front().LogStart;
+             2 * Dead >= TS.CsLog.size() && Dead != 0) {
+    TS.CsLog.erase(TS.CsLog.begin(),
+                   TS.CsLog.begin() + static_cast<ptrdiff_t>(Dead));
+    for (WcpCsFrame &F : TS.CsStack)
+      F.LogStart -= Dead;
+  }
 
   // Line 9: this release becomes the last release of ℓ.
-  LS.H = TS.H;
-  LS.P = TS.P;
+  LS.setLastRelease(T, TS.P, TS.H);
 
   // Line 10: enqueue H_t into Rel_ℓ(t') for t' ≠ t — i.e. complete the
-  // shared entry our matching acquire created.
-  WcpQueueEntry &Own = LS.entry(Frame.EntryLogicalIdx);
-  assert(Own.Thread == T && !Own.HasRelease && "queue entry mismatch");
-  Own.ReleaseTime = TS.H;
-  Own.HasRelease = true;
-  bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Touched.size()); U < E;
-       ++U) {
-    if (U != T.value() && LS.Touched[U]) {
-      ++LS.liveCountOf(U);
-      bumpLive(1);
-    }
-  }
+  // shared record our matching acquire created.
+  LS.completeRelease(Frame.EntryLogicalIdx, T, TS.H);
+  ++QueuedWeight;
+  enqueueForOthers(LS, T);
 
   collectLockGarbage(LS);
 
@@ -264,20 +264,28 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   TS.IncrementNext = true;
 }
 
+void WcpDetector::ruleAOnAccess(WcpThreadState &TS, ThreadId T, VarId X,
+                                bool IsWrite) {
+  if (TS.CsStack.empty())
+    return;
+  // For every enclosing critical section over ℓ, releases of ℓ by other
+  // threads whose sections wrote x (or, for a write, read or wrote x)
+  // precede this access. A lock only this thread has released holds no
+  // such release.
+  for (const WcpCsFrame &Frame : TS.CsStack)
+    if (Frame.ForeignReleases &&
+        Releases.joinInto(Frame.Lock, X, /*WithReads=*/IsWrite, T, TS.P))
+      ++TS.PEpoch;
+  // The access belongs to the R/W set of *every* open section (sections
+  // may overlap without nesting, so bubbling on release would be wrong):
+  // one log entry serves them all.
+  TS.CsLog.push_back(static_cast<uint64_t>(X.value()) << 1 | IsWrite);
+}
+
 void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
   WcpThreadState &TS = Threads[T.value()];
-  // Line 11: Rule (a). For every enclosing critical section over ℓ,
-  // releases of ℓ (by other threads) whose sections *wrote* x precede
-  // this read: P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}.
-  for (WcpCsFrame &Frame : TS.CsStack) {
-    if (const PerThreadReleaseClocks *LW = writeRelease(Frame.Lock, X))
-      if (LW->joinIntoExcluding(TS.P, T.value()))
-        ++TS.PEpoch;
-  }
-  // The access belongs to the R set of *every* open section (sections may
-  // overlap without nesting, so bubbling on release would be wrong).
-  for (WcpCsFrame &Frame : TS.CsStack)
-    Frame.ReadVars.push_back(X.value());
+  // Line 11: Rule (a): P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}.
+  ruleAOnAccess(TS, T, X, /*IsWrite=*/false);
 
   // Race check (§3.2): W_x ⊑ C_e, with C_e = P_t[t := N_t]. The history
   // check reads only other threads' components, so P_t stands in for C_e.
@@ -296,19 +304,8 @@ void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
 void WcpDetector::handleWrite(ThreadId T, VarId X, LocId Loc,
                               EventIdx Index) {
   WcpThreadState &TS = Threads[T.value()];
-  // Line 12: Rule (a). Releases of enclosing locks (by other threads)
-  // whose sections read *or* wrote x precede this write:
-  // P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}).
-  for (WcpCsFrame &Frame : TS.CsStack) {
-    if (const PerThreadReleaseClocks *LR = readRelease(Frame.Lock, X))
-      if (LR->joinIntoExcluding(TS.P, T.value()))
-        ++TS.PEpoch;
-    if (const PerThreadReleaseClocks *LW = writeRelease(Frame.Lock, X))
-      if (LW->joinIntoExcluding(TS.P, T.value()))
-        ++TS.PEpoch;
-  }
-  for (WcpCsFrame &Frame : TS.CsStack)
-    Frame.WriteVars.push_back(X.value());
+  // Line 12: Rule (a): P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}).
+  ruleAOnAccess(TS, T, X, /*IsWrite=*/true);
 
   // Race check (§3.2): R_x ⊔ W_x ⊑ C_e.
   if (Capture) {
@@ -337,8 +334,10 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
   if (TS.IncrementNext) {
     ++TS.N;
     TS.H.set(T, TS.N); // Maintain H_t(t) = N_t.
-    TS.K.set(T, TS.N); // ... and K_t(t) = N_t.
-    ++TS.KEpoch;
+    // ... and K_t(t) = N_t. Race checks never read the accessing thread's
+    // own component, so this leaves KEpoch (and the broadcast snapshot of
+    // K_t) alone.
+    TS.K.set(T, TS.N);
     TS.IncrementNext = false;
   }
 

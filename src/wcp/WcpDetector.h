@@ -27,6 +27,14 @@
 /// Fork/join events contribute HB edges, exactly as RAPID treats the
 /// fork/join records in RVPredict logs.
 ///
+/// The per-event path allocates nothing once its buffers are warm (see
+/// WcpState.h for the layout) and skips pseudocode steps that provably
+/// change nothing: rule (a) lookups on a lock only the accessing thread
+/// has released, the Lines 1-2 joins when the acquirer made the lock's
+/// last release, and release cells the thread has already absorbed. In
+/// capture mode the K_t epoch ignores the local increment of K_t(t),
+/// which no race check reads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAPID_WCP_WCPDETECTOR_H
@@ -93,22 +101,26 @@ private:
 
   /// Line 4's guard: Acq_ℓ(t).Front() ⊑ C_t, evaluated without
   /// materializing C_t (= P_t except component t, which is N_t).
-  bool frontLeqCt(const VectorClock &Front, const WcpThreadState &TS,
+  bool frontLeqCt(ClockSpan Front, const WcpThreadState &TS,
                   ThreadId T) const;
 
-  /// Looks up L^r/L^w for (ℓ, x); returns nullptr if absent.
-  const PerThreadReleaseClocks *readRelease(LockId L, VarId X) const;
-  const PerThreadReleaseClocks *writeRelease(LockId L, VarId X) const;
+  /// Line 11/12's rule (a) join over every open section whose lock another
+  /// thread has released, and the access's entry in the section log.
+  void ruleAOnAccess(WcpThreadState &TS, ThreadId T, VarId X, bool IsWrite);
 
   void bumpAbstract(int64_t Delta);
   void bumpLive(int64_t Delta);
+  /// Lines 3 / 10 telemetry: one entry (acquire or release time of \p T)
+  /// joins the abstract queues of every other thread.
+  void enqueueForOthers(WcpLockState &LS, ThreadId T);
 
   /// Admits threads [size, T] with the §3.2 initial state (N_t = 1,
   /// P_t = ⊥, H_t = K_t = ⊥[t := N_t]) and raises NumThreads — so a
   /// thread declared mid-stream is indistinguishable from one declared
   /// up front.
   void ensureThread(ThreadId T);
-  /// Admits locks up to \p L (P_ℓ = H_ℓ = ⊥, empty queues).
+  /// Admits locks up to \p L (P_ℓ = H_ℓ = ⊥, empty queues). The new
+  /// states own no storage until the lock is first acquired.
   void ensureLock(LockId L);
   /// Trims \p LS's shared queue: drops entries every current thread has
   /// passed whose release times are already redundant for any
@@ -119,13 +131,16 @@ private:
   std::vector<WcpThreadState> Threads;
   std::vector<WcpLockState> Locks;
   /// L^r_{ℓ,x} / L^w_{ℓ,x}, split per releasing thread (see WcpState.h).
-  std::unordered_map<uint64_t, PerThreadReleaseClocks> ReadReleases;
-  std::unordered_map<uint64_t, PerThreadReleaseClocks> WriteReleases;
+  WcpReleaseTable Releases;
   AccessHistory History;
   std::vector<RaceInstance> Scratch;
+  std::vector<uint64_t> ReleaseScratch; ///< A section's deduplicated R/W.
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 
   uint64_t EventsProcessed = 0;
+  /// Entries in all shared queue buffers, as abstract Acq+Rel entries: an
+  /// open section's record counts 1, a closed one 2.
+  uint64_t QueuedWeight = 0;
   int64_t CurrentAbstract = 0;
   int64_t CurrentLive = 0;
   WcpStats Stats;

@@ -346,3 +346,61 @@ TEST(ShardedAccessHistoryTest, MergeRestoresTraceOrder) {
   EXPECT_EQ(R.instances().front().LaterIdx, 3u);
   EXPECT_EQ(R.instances().back().LaterIdx, 12u);
 }
+
+// ---- WCP lock-state shapes, seed sweep --------------------------------------
+// The three shapes that stress WcpDetector's flat lock state (see
+// TestUtil.h): a private lock handed to a second thread, hand-over-hand
+// chains whose sections share one access log, and late threads meeting a
+// long single-thread queue. Each seed runs every run mode against its
+// session-free oracle, every shard count bit for bit against the
+// sequential WCP detector, and the sequential report against the closure.
+
+class WcpLockStateFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WcpLockStateFuzzTest, ShapesMatchOraclesInEveryMode) {
+  const uint64_t Seed = GetParam();
+  const uint32_t Size = 4 + static_cast<uint32_t>(Seed % 5) * 6;
+  const std::pair<std::string, Trace> Shapes[] = {
+      {"handover", testutil::lockHandoverTrace(Size, Seed)},
+      {"hand-over-hand", testutil::handOverHandTrace(3 + Size / 2, Seed)},
+      {"late-thread", testutil::lateThreadTrace(Size, Seed)},
+  };
+  DetectorFactory Wcp = [](const Trace &F) {
+    return std::make_unique<WcpDetector>(F);
+  };
+  for (const auto &[Name, T] : Shapes) {
+    std::string Label = Name + " seed " + std::to_string(Seed);
+    testutil::expectStreamedModesMatchOracles(
+        T, {DetectorKind::Wcp, DetectorKind::Hb}, Label);
+    expectShardedMatchesSequential(Wcp, T, Label);
+    testutil::expectWcpAgreesWithClosure(testutil::run<WcpDetector>(T), T,
+                                         Label);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WcpLockStateFuzzTest,
+                         ::testing::Range<uint64_t>(1, 21));
+
+TEST(ClockBroadcastTest, LocalIncrementsKeepTheSnapshot) {
+  // Releases advance only the releasing thread's own component, which no
+  // replayer reads: a single thread alternating sections and accesses
+  // keeps one snapshot per clock in every capturing lane.
+  TraceBuilder B;
+  for (int I = 0; I != 16; ++I)
+    B.acquire("t", "m").write("t", "x").release("t", "m").read("t", "x");
+  Trace T = testutil::takeValid(B);
+  auto Snapshots = [&](Detector &D) {
+    AccessLog Log(T.numThreads());
+    EXPECT_TRUE(D.beginCapture(Log));
+    for (EventIdx I = 0; I != T.size(); ++I)
+      D.processEvent(T.event(I), I);
+    EXPECT_EQ(Log.numAccesses(), 32u);
+    return Log.clocks().numSnapshots();
+  };
+  HbDetector Hb(T);
+  FastTrackDetector Ft(T);
+  WcpDetector Wcp(T);
+  EXPECT_EQ(Snapshots(Hb), 1u);
+  EXPECT_EQ(Snapshots(Ft), 1u);
+  EXPECT_EQ(Snapshots(Wcp), 2u) << "one P_t and one K_t snapshot";
+}

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace rapid;
 
 namespace {
@@ -259,4 +261,121 @@ TEST(WcpWindowedTest, DetectorIsRestartablePerFragment) {
   EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
   RunResult Tiny = runDetectorWindowed(Make, T, 3);
   EXPECT_LE(Tiny.Report.numDistinctPairs(), Full.numDistinctPairs());
+}
+
+// ---- Flat lock state: queue buffer, section log, release cells -------------
+// Each shape runs through every run mode against its session-free oracle
+// (names declared mid-stream, so lane state grows in place), and the
+// sequential report against the declarative closure.
+
+namespace {
+
+/// Full check of one shape: all four modes vs oracles for WCP and HB, the
+/// closure oracle, and a detector grown from an empty table (every thread
+/// and lock admitted mid-stream) reporting what the one built up front
+/// does. (Its queue telemetry may differ: with fewer threads declared, the
+/// queue collector may trim sooner — see WcpDetector::collectLockGarbage.)
+WcpDetector expectShapeHolds(const Trace &T, const std::string &Label) {
+  testutil::expectStreamedModesMatchOracles(
+      T, {DetectorKind::Wcp, DetectorKind::Hb}, Label);
+  WcpDetector D(T);
+  RaceReport Want = runDetector(D, T).Report;
+  testutil::expectWcpAgreesWithClosure(Want, T, Label);
+  Trace Empty;
+  WcpDetector Grown(Empty);
+  for (EventIdx I = 0; I != T.size(); ++I)
+    Grown.processEvent(T.event(I), I);
+  testutil::expectSameReport(Grown.report(), Want, T, Label + " grown");
+  return D;
+}
+
+} // namespace
+
+TEST(WcpLockStateTest, LockHandedOverAfterManyPrivateSections) {
+  Trace T = testutil::lockHandoverTrace(40, 7);
+  WcpDetector D = expectShapeHolds(T, "handover");
+  // t1's 40 sections stay queued (t2 has no cursor yet, so nothing is
+  // collectible), t2's first acquire inherits all of them.
+  EXPECT_GE(D.stats().MaxSharedQueueEntries, 41u);
+  EXPECT_GE(D.stats().MaxLiveQueueEntries, 80u);
+
+  // The minimal handover, pinned by hand: t2 reads what t1's last section
+  // wrote, so rule (a) delivers that release and t2's release pops every
+  // t1 section; the unprotected u accesses stay a WCP race.
+  TraceBuilder B;
+  for (int I = 0; I < 30; ++I)
+    B.acquire("t1", "m").write("t1", "x").release("t1", "m");
+  B.write("t1", "u", "u1");
+  B.acquire("t2", "m").read("t2", "x", "x2").release("t2", "m");
+  B.read("t2", "u", "u2");
+  Trace Small = testutil::takeValid(B);
+  WcpDetector S = expectShapeHolds(Small, "handover-min");
+  EXPECT_EQ(S.report().numDistinctPairs(), 1u);
+  EXPECT_TRUE(S.report().hasPair(
+      RacePair(Small.event(90).Loc, Small.event(94).Loc)));
+  EXPECT_EQ(S.stats().MaxSharedQueueEntries, 31u);
+  EXPECT_EQ(S.stats().MaxLiveQueueEntries, 61u);
+  EXPECT_EQ(S.stats().MaxAbstractQueueEntries, 61u);
+}
+
+TEST(WcpLockStateTest, HandOverHandSectionsShareOneAccessLog) {
+  for (uint64_t Seed : {1, 2, 3})
+    expectShapeHolds(testutil::handOverHandTrace(12, Seed),
+                     "hand-over-hand seed " + std::to_string(Seed));
+
+  // Outer section released first: a's section covers x and y, b's covers
+  // y and z. Under b, t2 reads x (not in b's section: race) and then z
+  // (in b's section: ordered by rule (a)); under a it reads y (in a's
+  // section: ordered).
+  TraceBuilder B;
+  B.acquire("t1", "a").write("t1", "x", "x1").acquire("t1", "b");
+  B.write("t1", "y", "y1").release("t1", "a").write("t1", "z", "z1");
+  B.release("t1", "b");
+  B.acquire("t2", "b").read("t2", "x", "x2").read("t2", "z", "z2");
+  B.release("t2", "b");
+  B.acquire("t2", "a").read("t2", "y", "y2").release("t2", "a");
+  Trace T = testutil::takeValid(B);
+  WcpDetector D = expectShapeHolds(T, "outer-first");
+  EXPECT_TRUE(D.report().hasPair(RacePair(T.event(1).Loc, T.event(8).Loc)))
+      << "x was written before b's section began";
+  EXPECT_EQ(D.report().numDistinctPairs(), 1u)
+      << "z and y were accessed inside the sections t2 later holds";
+
+  // Inner section released first: b's section starts at its own acquire,
+  // after x was written, so reading x under b races and reading y does
+  // not.
+  TraceBuilder N;
+  N.acquire("t1", "a").write("t1", "x", "x1").acquire("t1", "b");
+  N.write("t1", "y", "y1").release("t1", "b").release("t1", "a");
+  N.acquire("t2", "b").read("t2", "x", "x2").read("t2", "y", "y2");
+  N.release("t2", "b");
+  Trace Nested = testutil::takeValid(N);
+  WcpDetector ND = expectShapeHolds(Nested, "inner-first");
+  EXPECT_TRUE(
+      ND.report().hasPair(RacePair(Nested.event(1).Loc, Nested.event(7).Loc)));
+  EXPECT_EQ(ND.report().numDistinctPairs(), 1u);
+}
+
+TEST(WcpLockStateTest, LateThreadFirstAcquireWalksLongSingleThreadQueue) {
+  for (uint64_t Seed : {1, 2, 3})
+    expectShapeHolds(testutil::lateThreadTrace(30, Seed),
+                     "late thread seed " + std::to_string(Seed));
+
+  // The collector's invariant. While t1 is the only thread, its cursor
+  // has passed its own section on m, yet the record must stay: u, forked
+  // after it, pops it through the fork's hard order (rule (b)), and w,
+  // which appears later still, learns t1's release through u's release of
+  // m — so t1's w(z) is ordered before w's r(z). Dropping the record as
+  // soon as every *current* cursor has passed it would lose that edge in
+  // a detector that admits u and w mid-stream.
+  TraceBuilder B;
+  B.write("t1", "z", "z1").acquire("t1", "m").release("t1", "m");
+  for (int I = 0; I < 8; ++I)
+    B.acquire("t1", "m").release("t1", "m");
+  B.fork("t1", "u");
+  B.acquire("u", "m").release("u", "m");
+  B.acquire("w", "m").release("w", "m").read("w", "z", "z2");
+  Trace T = testutil::takeValid(B);
+  WcpDetector D = expectShapeHolds(T, "late-thread gc");
+  EXPECT_EQ(D.report().numDistinctPairs(), 0u);
 }
