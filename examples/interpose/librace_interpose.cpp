@@ -34,40 +34,38 @@
 // wrappers, so condvar-heavy code falls outside the modeled lock
 // discipline; trylock/timedlock criticals are not modeled.
 //
-// Deliberately links NO rapidpp code: the wire encoders it needs are the
-// header-only half of io/WireFormat.h (the static analysis library is not
-// position-independent and must not be pulled into a preloaded .so).
+// Deliberately links NO rapidpp code (the static analysis library is not
+// position-independent and must not be pulled into a preloaded .so). It
+// sends through serve/ResumableSender.h, the header-only resumable core
+// WireClient also uses, over the header-only half of io/WireFormat.h.
 //
-// Fault tolerance: when the server grants a resume token (Welcome), the
-// shim sequence-numbers its Events frames, spills them until the server
-// acknowledges, and survives connection loss — it reconnects with bounded
-// exponential backoff + jitter, replays Resume(token, next-seq), and
-// retransmits the unacked tail; the server's sequence dedup makes the
-// delivery exactly-once, so a killed-and-resumed session reports exactly
-// what an uninterrupted one would. RACE_RETRY_MAX (default 8) bounds
-// reconnect attempts per outage; 0 disables resume.
+// Fault tolerance is the core's: a resumable handshake that honours the
+// server's retry-after hints, a spill of unacked Events frames, and
+// reconnect + Resume + retransmit after a connection loss, so a
+// killed-and-resumed session reports exactly what an uninterrupted one
+// would. The shim adds only its own policies: RACE_RETRY_MAX (default 8)
+// bounds attempts per outage, and 0 sends a plain Hello (no resume); an
+// unacked backlog past the spill cap drops the resume token rather than
+// fail the stream; a send the core cannot deliver ends streaming, never
+// the program; and at exit it waits, bounded, for the session's Report.
 //
 //===----------------------------------------------------------------------===//
 
 #include "io/WireFormat.h"
+#include "serve/ResumableSender.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <dlfcn.h>
-#include <poll.h>
 #include <pthread.h>
 #include <sched.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -137,28 +135,16 @@ struct State {
   std::atomic<uint64_t> Seq{1};
   uint32_t RtLoc = 0; ///< Loc id for runtime (non-annotated) events.
 
-  int Sock = -1;
   std::FILE *Record = nullptr;
   unsigned FlushMs = 50;
   std::atomic<bool> Stop{false};
   pthread_t Flusher{};
   bool FlusherStarted = false;
 
-  // Resumable transport. Only one thread touches the socket at a time
-  // (the flusher, or the destructor after joining it), so none of this
-  // needs locking.
-  std::string ServerPath;
-  uint64_t SessionToken = 0; ///< Welcome token (0 = resume unavailable).
-  uint64_t EventsSent = 0;   ///< Cumulative events encoded (next frame's seq).
-  uint64_t AckedEvents = 0;  ///< Server-confirmed applied events.
-  std::string DeclareLog;    ///< Every Declare frame, replayed on resume.
-  std::vector<std::pair<uint64_t, std::string>> Spill; ///< Unacked Events.
-  size_t SpillBytes = 0;
-  bool FinishQueued = false; ///< Finish sent; re-send after any resume.
-  bool GaveUp = false;       ///< Permanent loss: stop trying, drop frames.
-  unsigned RetryMax = 8;
-  uint64_t JitterState = 0x9e3779b97f4a7c15ull;
-  FrameDecoder SrvDec;       ///< Acks/errors coming back from the server.
+  // Only one thread touches the server connection at a time (the flusher,
+  // or the destructor after joining it), so it needs no locking.
+  ResumableSender Server;
+  bool Streaming = false; ///< Attached, and no send has failed for good.
 };
 
 State *St; // Heap-allocated, never freed: immune to static-dtor order.
@@ -177,247 +163,15 @@ struct HookGuard {
   }
 };
 
-bool sendAllFd(int Fd, const char *P, size_t N) {
-  while (N != 0) {
-    const ssize_t W = send(Fd, P, N, MSG_NOSIGNAL);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += W;
-    N -= static_cast<size_t>(W);
-  }
-  return true;
-}
-
-// ---- Resumable transport ----------------------------------------------------
-//
-// Cannot link support/Prng.cpp (see the header comment), so the backoff
-// jitter is a local splitmix64 — determinism does not matter here, only
-// decorrelation between concurrently retrying shims.
-
-uint64_t nextJitter() {
-  uint64_t Z = (St->JitterState += 0x9e3779b97f4a7c15ull);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
-
-void sleepMs(uint64_t Ms) {
-  timespec TS{static_cast<time_t>(Ms / 1000),
-              static_cast<long>(Ms % 1000) * 1000000L};
-  nanosleep(&TS, nullptr);
-}
-
-void dropSock() {
-  if (St->Sock >= 0) {
-    close(St->Sock);
-    St->Sock = -1;
-  }
-  St->SrvDec = FrameDecoder();
-}
-
-uint64_t eventsInFrame(const std::string &Frame) {
-  const size_t Header = WireFrameHeaderSize + 12; // seq u64 + count u32
-  return Frame.size() >= Header ? (Frame.size() - Header) / WireEventRecordSize
-                                : 0;
-}
-
-void trimSpill() {
-  size_t Keep = 0;
-  while (Keep != St->Spill.size() &&
-         St->Spill[Keep].first + eventsInFrame(St->Spill[Keep].second) <=
-             St->AckedEvents)
-    St->SpillBytes -= St->Spill[Keep++].second.size();
-  if (Keep)
-    St->Spill.erase(St->Spill.begin(),
-                    St->Spill.begin() + static_cast<ptrdiff_t>(Keep));
-}
-
-/// True when the frame was handled and the stream stays usable; false
-/// drops the connection (retryable error) or gives up (fatal one).
-bool onServerFrame(const WireFrameView &F) {
-  switch (F.Type) {
-  case WireFrame::Ack:
-    if (F.Payload.size() == 8) {
-      const uint64_t A = wireGetU64(F.Payload.data());
-      if (A > St->AckedEvents)
-        St->AckedEvents = A;
-      trimSpill();
-    }
-    return true;
-  case WireFrame::WireError: {
-    WireErrorInfo E;
-    if (wireParseError(F.Payload, E) && !E.Retryable) {
-      std::fprintf(stderr, "librace_interpose: server error: %s\n",
-                   E.Message.c_str());
-      St->GaveUp = true;
-    }
-    dropSock();
-    return false;
-  }
-  default:
-    return true; // Welcome/ResumeOk replays, Report at shutdown.
-  }
-}
-
-/// Non-blocking drain of server->client frames (acks, errors).
-void pollServerInput() {
-  if (St->Sock < 0)
+/// The shim's failure policy: a send the core could not deliver (its
+/// resume budget spent, or a refusal from the server) ends streaming for
+/// good, while the program keeps running and recording.
+void keepStreaming(const Status &S) {
+  if (S.ok() || !St->Streaming)
     return;
-  char Buf[4096];
-  for (;;) {
-    pollfd P{St->Sock, POLLIN, 0};
-    if (poll(&P, 1, 0) <= 0 || !(P.revents & (POLLIN | POLLHUP | POLLERR)))
-      break;
-    const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-    if (N == 0) {
-      dropSock();
-      return;
-    }
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    St->SrvDec.append(Buf, static_cast<size_t>(N));
-  }
-  WireFrameView F;
-  while (St->Sock >= 0 && St->SrvDec.next(F) == 1)
-    if (!onServerFrame(F))
-      return;
-}
-
-/// Blocks (up to \p TimeoutMs) for one complete server frame.
-bool readServerFrame(WireFrameView &F, int TimeoutMs) {
-  char Buf[4096];
-  for (int Waited = 0;;) {
-    if (St->SrvDec.next(F) == 1)
-      return true;
-    if (St->Sock < 0 || Waited >= TimeoutMs)
-      return false;
-    pollfd P{St->Sock, POLLIN, 0};
-    const int PR = poll(&P, 1, 100);
-    Waited += 100;
-    if (PR <= 0)
-      continue;
-    const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-    if (N <= 0) {
-      if (N < 0 && errno == EINTR)
-        continue;
-      dropSock();
-      return false;
-    }
-    St->SrvDec.append(Buf, static_cast<size_t>(N));
-  }
-}
-
-int connectServerPath() {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (St->ServerPath.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, St->ServerPath.c_str(),
-              St->ServerPath.size() + 1);
-  const int S = socket(AF_UNIX, SOCK_STREAM, 0);
-  if (S < 0)
-    return -1;
-  if (connect(S, reinterpret_cast<const sockaddr *>(&Addr), sizeof(Addr)) !=
-      0) {
-    close(S);
-    return -1;
-  }
-  return S;
-}
-
-bool retransmitUnacked();
-
-/// Bounded reconnect + Resume(token, next-seq) + retransmit. Returns with
-/// a usable attached socket, or gives up for good.
-bool reattach() {
-  if (St->GaveUp || St->RetryMax == 0 || St->SessionToken == 0) {
-    if (!St->GaveUp) {
-      St->GaveUp = true;
-      std::fprintf(stderr, "librace_interpose: lost the server connection\n");
-    }
-    return false;
-  }
-  for (unsigned Attempt = 0; Attempt < St->RetryMax; ++Attempt) {
-    if (Attempt != 0) {
-      uint64_t DelayMs = std::min<uint64_t>(500, 2ull << Attempt);
-      DelayMs += nextJitter() % (DelayMs / 2 + 1);
-      sleepMs(DelayMs);
-    }
-    dropSock();
-    const int S = connectServerPath();
-    if (S < 0)
-      continue;
-    St->Sock = S;
-    std::string HS = wireHelloFrame(WireHelloAttach);
-    HS += wireResumeFrame(St->SessionToken, St->EventsSent);
-    if (!sendAllFd(S, HS.data(), HS.size()))
-      continue;
-    WireFrameView F;
-    if (!readServerFrame(F, 5000))
-      continue;
-    if (F.Type == WireFrame::ResumeOk && F.Payload.size() == 16) {
-      const uint64_t Applied = wireGetU64(F.Payload.data() + 8);
-      if (Applied > St->AckedEvents)
-        St->AckedEvents = Applied;
-      trimSpill();
-      if (retransmitUnacked())
-        return true;
-      continue;
-    }
-    if (F.Type == WireFrame::WireError) {
-      WireErrorInfo E;
-      if (wireParseError(F.Payload, E) && !E.Retryable) {
-        std::fprintf(stderr, "librace_interpose: resume refused: %s\n",
-                     E.Message.c_str());
-        break;
-      }
-      continue;
-    }
-  }
-  dropSock();
-  St->GaveUp = true;
-  std::fprintf(stderr, "librace_interpose: lost the server connection\n");
-  return false;
-}
-
-/// Replays declares, the unacked spill tail, and a queued Finish on a
-/// freshly attached socket.
-bool retransmitUnacked() {
-  if (!St->DeclareLog.empty() &&
-      !sendAllFd(St->Sock, St->DeclareLog.data(), St->DeclareLog.size()))
-    return false;
-  for (const auto &E : St->Spill) {
-    if (E.first + eventsInFrame(E.second) <= St->AckedEvents)
-      continue;
-    if (!sendAllFd(St->Sock, E.second.data(), E.second.size()))
-      return false;
-  }
-  if (St->FinishQueued) {
-    std::string Fin;
-    wireAppendFrame(Fin, WireFrame::Finish, std::string_view());
-    if (!sendAllFd(St->Sock, Fin.data(), Fin.size()))
-      return false;
-  }
-  return true;
-}
-
-/// send-with-resume: survives connection loss as long as reattach can.
-bool sendResumable(const std::string &Frame) {
-  for (;;) {
-    if (St->GaveUp)
-      return false;
-    if (St->Sock < 0 && !reattach())
-      return false;
-    if (sendAllFd(St->Sock, Frame.data(), Frame.size()))
-      return true;
-    dropSock();
-  }
+  St->Streaming = false;
+  std::fprintf(stderr, "librace_interpose: lost the server connection: %s\n",
+               S.str().c_str());
 }
 
 // ---- Interning (RegM held by caller) ---------------------------------------
@@ -536,40 +290,28 @@ void flushOnce() {
   }
   St->RegM.unlock();
 
-  if ((St->Sock >= 0 || St->SessionToken != 0) && !St->GaveUp) {
-    pollServerInput(); // Pick up acks so the spill stays trimmed.
-    if (!Decl.empty()) {
-      std::string DF;
-      wireAppendFrame(DF, WireFrame::Declare, Decl);
-      St->DeclareLog += DF; // Replayed in full on every resume.
-      sendResumable(DF);
+  if (St->Streaming && !Decl.empty()) {
+    std::string DF;
+    wireAppendFrame(DF, WireFrame::Declare, Decl);
+    keepStreaming(St->Server.sendDeclares(std::move(DF)));
+  }
+  constexpr size_t BatchRecords = 8192;
+  for (size_t I = 0; St->Streaming && I < Cut.size(); I += BatchRecords) {
+    const size_t N = std::min(BatchRecords, Cut.size() - I);
+    std::string P;
+    P.reserve(12 + N * WireEventRecordSize);
+    wireEventsHeader(P, St->Server.nextSeq(), static_cast<uint32_t>(N));
+    for (size_t K = 0; K != N; ++K) {
+      const Rec &R = Cut[I + K];
+      wireEventRecord(P, R.Kind, R.Thread, R.Target, R.Loc);
     }
-    constexpr size_t BatchRecords = 8192;
-    for (size_t I = 0; I < Cut.size(); I += BatchRecords) {
-      const size_t N = std::min(BatchRecords, Cut.size() - I);
-      std::string P;
-      P.reserve(12 + N * WireEventRecordSize);
-      wireEventsHeader(P, St->EventsSent, static_cast<uint32_t>(N));
-      for (size_t K = 0; K != N; ++K) {
-        const Rec &R = Cut[I + K];
-        wireEventRecord(P, R.Kind, R.Thread, R.Target, R.Loc);
-      }
-      std::string EF;
-      wireAppendFrame(EF, WireFrame::Events, P);
-      St->EventsSent += N;
-      if (St->SessionToken != 0) {
-        St->SpillBytes += EF.size();
-        St->Spill.emplace_back(St->EventsSent - N, EF);
-        if (St->SpillBytes > (8u << 20)) {
-          // Unbounded unacked backlog: stop pretending we can resume.
-          St->Spill.clear();
-          St->SpillBytes = 0;
-          St->SessionToken = 0;
-        }
-      }
-      if (!sendResumable(EF))
-        break;
-    }
+    std::string EF;
+    wireAppendFrame(EF, WireFrame::Events, P);
+    // An unacked backlog past the cap stops resuming instead of failing
+    // the stream: later frames go out once, unspilled.
+    if (St->Server.spillBytes() + EF.size() > WireSpillMaxBytes)
+      St->Server.dropResume();
+    keepStreaming(St->Server.sendEvents(std::move(EF)));
   }
   if (St->Record && !Text.empty()) {
     std::fwrite(Text.data(), 1, Text.size(), St->Record);
@@ -606,30 +348,24 @@ __attribute__((constructor)) void interposeInit() {
     if (!St->Record)
       std::fprintf(stderr, "librace_interpose: cannot write '%s'\n", Path);
   }
+  int RetryMax = 8;
   if (const char *Retry = std::getenv("RACE_RETRY_MAX"))
-    St->RetryMax = static_cast<unsigned>(std::strtoul(Retry, nullptr, 10));
+    RetryMax = static_cast<int>(std::strtoul(Retry, nullptr, 10));
   if (const char *Path = std::getenv("RACE_SERVER")) {
-    St->ServerPath = Path;
-    const int S = connectServerPath();
-    if (S >= 0) {
-      St->Sock = S;
-      const std::string Hello =
-          wireHelloFrame(St->RetryMax ? WireHelloResumable : 0);
-      sendAllFd(S, Hello.data(), Hello.size());
-      if (St->RetryMax) {
-        // The server answers a resumable Hello with Welcome immediately;
-        // token 0 means resume is disabled server-side (grace window off).
-        WireFrameView F;
-        if (readServerFrame(F, 5000) && F.Type == WireFrame::Welcome &&
-            F.Payload.size() == 16)
-          St->SessionToken = wireGetU64(F.Payload.data() + 8);
-      }
-    } else {
+    // One connect attempt: an absent server must not delay the program.
+    Status S = St->Server.connect(Path);
+    if (S.ok())
+      S = RetryMax != 0
+              ? St->Server.handshake(
+                    Path, 0,
+                    WireRetryPolicy{RetryMax, static_cast<uint64_t>(getpid())})
+              : St->Server.sendBytes(wireHelloFrame());
+    St->Streaming = S.ok();
+    if (!S.ok())
       std::fprintf(stderr,
                    "librace_interpose: cannot reach RACE_SERVER '%s': %s "
                    "(recording only)\n",
-                   Path, std::strerror(errno));
-    }
+                   Path, S.str().c_str());
   }
   if (RealCreate &&
       RealCreate(&St->Flusher, nullptr, flusherMain, nullptr) == 0)
@@ -643,25 +379,15 @@ __attribute__((destructor)) void interposeFini() {
   if (St->FlusherStarted && RealJoin)
     RealJoin(St->Flusher, nullptr);
   flushOnce();
-  if (St->Sock >= 0 || (St->SessionToken != 0 && !St->GaveUp)) {
-    std::string Fin;
-    wireAppendFrame(Fin, WireFrame::Finish, std::string_view());
-    St->FinishQueued = true; // reattach() re-sends it after any resume.
-    sendResumable(Fin);
+  if (St->Streaming)
+    keepStreaming(St->Server.sendFinish());
+  if (St->Streaming) {
+    // Wait for the Report, so the session is retained server-side before
+    // this process disappears.
+    std::string Report;
+    keepStreaming(St->Server.awaitReport(Report));
   }
-  if (St->Sock >= 0) {
-    shutdown(St->Sock, SHUT_WR);
-    // Drain until the server finalizes (its Report, then EOF) so the
-    // session is retained server-side before this process disappears.
-    char Buf[4096];
-    for (int Spins = 0; Spins != 500; ++Spins) {
-      const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-      if (N <= 0)
-        break;
-    }
-    close(St->Sock);
-    St->Sock = -1;
-  }
+  St->Server.close();
   if (St->Record) {
     std::fclose(St->Record);
     St->Record = nullptr;

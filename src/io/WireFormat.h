@@ -252,6 +252,21 @@ inline void wireEventsHeader(std::string &Payload, uint64_t Seq,
   wirePutU32(Payload, Count);
 }
 
+/// The events in a complete Events frame (frame header, u64 seq, u32
+/// count, then the records).
+inline uint64_t wireEventsInFrame(std::string_view Frame) {
+  const size_t Header = WireFrameHeaderSize + 12;
+  return Frame.size() >= Header ? (Frame.size() - Header) / WireEventRecordSize
+                                : 0;
+}
+
+/// The payload-less Finish frame.
+inline std::string wireFinishFrame() {
+  std::string Out;
+  wireAppendFrame(Out, WireFrame::Finish, std::string_view());
+  return Out;
+}
+
 /// u64 payload frames of the resume handshake.
 inline std::string wireResumeFrame(uint64_t Token, uint64_t NextSeq) {
   std::string P, Out;

@@ -8,9 +8,9 @@
 /// A small blocking client for the serving protocol (io/WireFormat.h):
 /// connect to a race_serverd socket, push hello/declare/events frames,
 /// issue control queries, read reply frames. This is the test harness's
-/// and tooling's side of the protocol — the LD_PRELOAD interposer ships
-/// its own freestanding encoder (examples/interpose/) because it must not
-/// link the analysis library.
+/// and tooling's side of the protocol. Its resumable mode forwards to
+/// serve/ResumableSender.h, the header-only core the LD_PRELOAD
+/// interposer (examples/interpose/) sends through as well.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,62 +18,33 @@
 #define RAPID_SERVE_WIRECLIENT_H
 
 #include "io/WireFormat.h"
-#include "support/Prng.h"
+#include "serve/ResumableSender.h"
 #include "support/Status.h"
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <utility>
 
 namespace rapid {
 
 class Trace;
 
-/// Bounded reconnect/backoff policy for the resumable client.
-struct WireRetryPolicy {
-  int MaxAttempts = 8;       ///< Reconnect attempts per outage.
-  int BackoffBaseMs = 2;     ///< First retry delay; doubles per attempt.
-  int BackoffMaxMs = 500;    ///< Exponential cap.
-  uint64_t JitterSeed = 1;   ///< Deterministic jitter stream.
-  size_t SpillMaxBytes = 8u << 20; ///< Unacked-frame buffer cap.
-};
-
-/// Deterministic client-side fault injection: kill the connection (close
-/// the fd mid-send) \p Kills times, at seeded byte offsets spaced
-/// [MinGapBytes, MaxGapBytes] apart. Zero Kills disables the plan. Same
-/// seed, same kill schedule — the reconnect tests are exact replays.
-struct WireFaultPlan {
-  uint64_t Seed = 1;
-  int Kills = 0;
-  uint64_t MinGapBytes = 512;
-  uint64_t MaxGapBytes = 16384;
-};
-
 /// Blocking protocol client over a Unix-domain socket.
 class WireClient {
 public:
-  WireClient() = default;
-  ~WireClient();
-
-  WireClient(const WireClient &) = delete;
-  WireClient &operator=(const WireClient &) = delete;
-
   /// Connects, retrying for up to \p RetryMs (covers "server still
   /// binding" in tests; 0 = one attempt).
-  Status connectUnix(const std::string &Path, int RetryMs = 0);
-
-  bool connected() const { return Fd >= 0; }
-  int fd() const { return Fd; }
+  Status connectUnix(const std::string &Path, int RetryMs = 0) {
+    return Link.connect(Path, RetryMs);
+  }
 
   /// Raw bytes (already-framed), for malformed-input tests.
-  Status sendBytes(const std::string &Bytes);
+  Status sendBytes(const std::string &Bytes) { return Link.sendBytes(Bytes); }
 
-  Status sendHello();
+  Status sendHello() { return sendBytes(wireHelloFrame()); }
   /// Declare frames for every table of \p T followed by Events frames —
   /// exactly encodeTraceFrames(), pushed down this connection.
   Status sendTrace(const Trace &T, uint64_t BatchEvents = 8192);
-  Status sendFinish();
+  Status sendFinish() { return sendBytes(wireFinishFrame()); }
 
   /// Empty payload = this connection's own session.
   Status sendPartialQuery();
@@ -85,89 +56,50 @@ public:
   /// Blocks until one complete frame arrives (or \p TimeoutMs passes /
   /// the peer hangs up / the stream desyncs).
   Status readFrame(WireFrame &Type, std::string &Payload,
-                   int TimeoutMs = 10000);
+                   int TimeoutMs = 10000) {
+    return Link.readFrame(Type, Payload, TimeoutMs);
+  }
 
-  /// Half-close: no more requests, replies still readable.
-  void shutdownSend();
-  void close();
+  void close() { Link.close(); }
 
   // ---- Resumable mode -------------------------------------------------------
   //
   // connectResumable() negotiates a sequence-numbered session (Hello with
   // the Resumable flag, Welcome reply). From then on sendDeclares/
-  // sendEvents/sendFinishReliable spill unacknowledged frames and survive
-  // connection loss: the client reconnects with bounded exponential
-  // backoff + jitter, replays Resume(token, next-seq), and retransmits
-  // from the spill; the server's sequence dedup makes delivery
-  // exactly-once. awaitReport() filters Welcome/ResumeOk/Ack frames and
-  // rides reconnects transparently, so the caller sees exactly the frames
-  // a fault-free run would produce.
+  // sendEvents/sendFinishReliable survive connection loss, and
+  // awaitReport() rides reconnects transparently, so the caller sees
+  // exactly the frames a fault-free run would produce. The protocol and
+  // its limits are ResumableSender's.
 
   /// Connects and performs the resumable handshake.
   Status connectResumable(const std::string &Path, int RetryMs = 0,
-                          WireRetryPolicy Policy = WireRetryPolicy());
+                          WireRetryPolicy Policy = WireRetryPolicy()) {
+    return Link.handshake(Path, RetryMs, Policy);
+  }
 
   /// Installs a deterministic kill schedule (before or mid-stream).
-  void setFaultPlan(const WireFaultPlan &Plan);
+  void setFaultPlan(const WireFaultPlan &Plan) { Link.setFaultPlan(Plan); }
 
-  /// Declare frames for every table of \p T; logged and replayed on every
-  /// resume (interning dedupes, so replay is idempotent).
+  /// Declare frames for every table of \p T, replayed on every resume.
   Status sendDeclares(const Trace &T);
   /// Sequence-numbered Events frames, spilled until acknowledged.
   Status sendEvents(const Trace &T, uint64_t BatchEvents = 8192);
-  /// Finish, resent after any resume (the server treats it idempotently).
-  Status sendFinishReliable();
+  /// Finish, resent after any resume.
+  Status sendFinishReliable() { return Link.sendFinish(); }
   /// Blocks for the final Report payload, reconnecting as needed.
-  Status awaitReport(std::string &Payload, int TimeoutMs = 20000);
+  Status awaitReport(std::string &Payload, int TimeoutMs = 20000) {
+    return Link.awaitReport(Payload, TimeoutMs);
+  }
 
-  uint64_t sessionId() const { return SessId; }
-  uint64_t sessionToken() const { return Token; }
+  uint64_t sessionToken() const { return Link.token(); }
   /// Successful resume round-trips (the e2e pin asserts this matches the
   /// fault plan's kill count).
-  uint64_t reconnects() const { return Reconnects; }
-  uint64_t eventsSent() const { return NextSeq; }
+  uint64_t reconnects() const { return Link.reconnects(); }
 
 private:
-  Status rawSend(const char *Data, size_t N);
-  Status sendFrameReliable(const std::string &Frame, bool IsEvents,
-                           uint64_t StartSeq, uint64_t Count);
-  Status handshakeFresh(int RetryMs);
-  Status reconnectAndResume();
-  Status retransmit();
-  void drainAcks();
-  void handleServerFrame(const WireFrameView &F);
-  void trimSpill();
-  void dropConnection();
-  void backoff(int Attempt, uint32_t HintMs);
+  Status sendU64Frame(WireFrame T, uint64_t V);
 
-  int Fd = -1;
-  FrameDecoder Dec;
-
-  // Resumable-session state.
-  bool Resumable = false;
-  std::string Path;
-  WireRetryPolicy Policy;
-  Prng Jitter{1};
-  uint64_t SessId = 0;
-  uint64_t Token = 0;
-  uint64_t NextSeq = 0;  ///< Events encoded so far (next frame's start).
-  uint64_t AckedSeq = 0; ///< Server-confirmed applied events.
-  uint64_t Reconnects = 0;
-  bool FinishSent = false;
-  std::string DeclareLog; ///< All declare frames, replayed on resume.
-  /// Unacked Events frames: (start seq, framed bytes).
-  std::deque<std::pair<uint64_t, std::string>> Spill;
-  size_t SpillBytes = 0;
-  Status ServerError; ///< Sticky non-retryable WireError from the server.
-  bool HasStashedReport = false;
-  std::string StashedReport; ///< Report drained while processing acks.
-
-  // Fault injection.
-  WireFaultPlan Plan;
-  Prng KillRng{1};
-  int KillsLeft = 0;
-  uint64_t SentBytes = 0;
-  uint64_t NextKillAt = 0;
+  ResumableSender Link;
 };
 
 } // namespace rapid

@@ -17,7 +17,11 @@
 //   4. bounded grace — a detached resumable session whose client never
 //      returns is finalized (prefix retained) when the grace window
 //      expires; a Resume with an unknown token is rejected loudly;
-//   5. idle eviction and roster GC run off the server's timer wheel.
+//   5. idle eviction and roster GC run off the server's timer wheel;
+//   6. the client's limits are loud: a lost connection without a resume
+//      token fails instead of opening a second session, and an unacked
+//      backlog past the spill cap fails instead of growing or hanging
+//      (while an acked stream of the same length completes).
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,15 +31,21 @@
 #include "serve/RaceServer.h"
 #include "serve/ReportCanon.h"
 #include "serve/WireClient.h"
+#include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace rapid;
 
@@ -102,6 +112,9 @@ protected:
     WireClient C;
     WireRetryPolicy Pol;
     Pol.JitterSeed = Plan.Seed;
+    // Kills that land inside a retransmit spend the same outage's attempt
+    // budget, so the budget must cover every kill.
+    Pol.MaxAttempts = std::max(Pol.MaxAttempts, Plan.Kills + 1);
     EXPECT_TRUE(C.connectResumable(Cfg.SocketPath, 2000, Pol).ok());
     EXPECT_NE(C.sessionToken(), 0u);
     C.setFaultPlan(Plan);
@@ -124,35 +137,45 @@ protected:
 
 TEST_F(ServeResumeTest, KilledConnectionResumesToByteIdenticalReport) {
   Trace T = makeWorkload(workloadSpec("mergesort"));
-  RaceServerConfig Cfg = baseConfig("kill");
-  const std::string Want = directCanon(Cfg.Session, T);
-  RaceServer Server(Cfg);
-  ASSERT_TRUE(Server.start().ok());
+  // Three sparse kills, then sixteen dense ones: gaps shorter than one
+  // 257-event frame (and than the declares) put kills inside the
+  // retransmits, so one outage spends many attempts of a single budget.
+  WireFaultPlan Sparse, Dense;
+  Sparse.Kills = 3;
+  Sparse.MinGapBytes = 1024;
+  Sparse.MaxGapBytes = 8192;
+  Dense.Kills = 16;
+  Dense.MinGapBytes = 256;
+  Dense.MaxGapBytes = 1024;
+  for (WireFaultPlan Plan : {Sparse, Dense}) {
+    SCOPED_TRACE(std::to_string(Plan.Kills) + " kills");
+    Plan.Seed = faultSeed();
+    RaceServerConfig Cfg = baseConfig("kill" + std::to_string(Plan.Kills));
+    const std::string Want = directCanon(Cfg.Session, T);
+    RaceServer Server(Cfg);
+    ASSERT_TRUE(Server.start().ok());
 
-  WireFaultPlan Plan;
-  Plan.Seed = faultSeed();
-  Plan.Kills = 3;
-  Plan.MinGapBytes = 1024;
-  Plan.MaxGapBytes = 8192;
-  uint64_t Reconnects = 0;
-  const std::string Got = runFaulty(Cfg, T, Plan, &Reconnects);
+    uint64_t Reconnects = 0;
+    const std::string Got = runFaulty(Cfg, T, Plan, &Reconnects);
 
-  // Byte-identical despite three mid-stream connection kills: the
-  // retransmitted overlap was deduplicated, nothing was lost.
-  EXPECT_EQ(Got, Want);
-  EXPECT_GE(Reconnects, 1u);
-  EXPECT_LE(Reconnects, static_cast<uint64_t>(Plan.Kills));
+    // Byte-identical despite the mid-stream connection kills: the
+    // retransmitted overlap was deduplicated, nothing was lost.
+    EXPECT_EQ(Got, Want);
+    EXPECT_GE(Reconnects, 1u);
+    EXPECT_LE(Reconnects, static_cast<uint64_t>(Plan.Kills));
 
-  ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
-  SessionSummary Done = Server.finishedSessions()[0];
-  EXPECT_TRUE(Done.CleanFinish);
-  EXPECT_TRUE(Done.Outcome.ok()) << Done.Outcome.str();
-  EXPECT_EQ(Done.Events, T.size()); // exactly once: no dup, no loss
-  EXPECT_EQ(Done.Resumes, Reconnects);
-  EXPECT_NE(Done.Token, 0u);
-  EXPECT_EQ(Done.Canon, Want);
-  EXPECT_GE(metricValue(Server.metrics(), "resumes"), Reconnects);
-  Server.stop();
+    ASSERT_TRUE(
+        eventually([&] { return Server.finishedSessions().size() == 1; }));
+    SessionSummary Done = Server.finishedSessions()[0];
+    EXPECT_TRUE(Done.CleanFinish);
+    EXPECT_TRUE(Done.Outcome.ok()) << Done.Outcome.str();
+    EXPECT_EQ(Done.Events, T.size()); // exactly once: no dup, no loss
+    EXPECT_EQ(Done.Resumes, Reconnects);
+    EXPECT_NE(Done.Token, 0u);
+    EXPECT_EQ(Done.Canon, Want);
+    EXPECT_GE(metricValue(Server.metrics(), "resumes"), Reconnects);
+    Server.stop();
+  }
 }
 
 // ---- 2. Determinism: same seed, same schedule, same report -----------------
@@ -179,6 +202,35 @@ TEST_F(ServeResumeTest, SameSeedSameKillScheduleSameReport) {
   EXPECT_EQ(Reconnects[0], Reconnects[1])
       << "the seeded kill schedule must replay identically";
   EXPECT_EQ(Canon[0], directCanon(hbWcpConfig(), T));
+}
+
+TEST_F(ServeResumeTest, KillOnTheFinishFrameStillFinishes) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("finkill");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  WireClient C;
+  ASSERT_TRUE(C.connectResumable(Cfg.SocketPath, 2000).ok());
+  ASSERT_TRUE(C.sendDeclares(T).ok());
+  ASSERT_TRUE(C.sendEvents(T, 257).ok());
+  ASSERT_TRUE(eventually(
+      [&] { return metricValue(Server.metrics(), "events") == T.size(); }));
+  // Every event is applied; the kill lands on the Finish frame's first
+  // byte, so the resume must replay Finish though nothing else is missing.
+  WireFaultPlan Plan;
+  Plan.Kills = 1;
+  Plan.MinGapBytes = 0;
+  Plan.MaxGapBytes = 0;
+  C.setFaultPlan(Plan);
+  ASSERT_TRUE(C.sendFinishReliable().ok());
+  std::string Payload;
+  const Status S = C.awaitReport(Payload, 5000);
+  ASSERT_TRUE(S.ok()) << S.str();
+  EXPECT_EQ(C.reconnects(), 1u);
+  ASSERT_GE(Payload.size(), 9u);
+  EXPECT_EQ(Payload.substr(9), directCanon(Cfg.Session, T));
+  Server.stop();
 }
 
 // ---- 3. Overload: retryable shed, then recovery ----------------------------
@@ -347,6 +399,125 @@ TEST_F(ServeResumeTest, IdleSessionsAreEvictedAndRosterIsTrimmed) {
     return false;
   }));
   Server.stop();
+}
+
+// ---- 6. Loud client limits ------------------------------------------------
+
+TEST_F(ServeResumeTest, LostConnectionWithoutResumeTokenFailsInOneSession) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("notoken");
+  Cfg.ResumeGraceMs = 0; // resume disabled: Welcome carries token 0
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  WireClient C;
+  ASSERT_TRUE(C.connectResumable(Cfg.SocketPath, 2000).ok());
+  ASSERT_EQ(C.sessionToken(), 0u);
+  WireFaultPlan Plan;
+  Plan.Seed = faultSeed();
+  Plan.Kills = 1;
+  Plan.MinGapBytes = 12 << 10; // past the declares, inside the events
+  Plan.MaxGapBytes = 14 << 10;
+  C.setFaultPlan(Plan);
+  ASSERT_TRUE(C.sendDeclares(T).ok());
+  const Status S = C.sendEvents(T, 257);
+  EXPECT_EQ(S.Code, StatusCode::IoError) << S.str();
+  EXPECT_NE(S.Message.find("no resume token"), std::string::npos) << S.str();
+  C.close();
+
+  // One session, torn mid-stream: no fresh session replaying a gapped
+  // suffix behind it.
+  ASSERT_TRUE(eventually([&] {
+    return !Server.finishedSessions().empty() && Server.activeSessions() == 0;
+  }));
+  EXPECT_EQ(Server.finishedSessions().size(), 1u);
+  Server.stop();
+}
+
+/// Comfortably more than the 8 MB spill cap of 13-byte event records.
+Trace pastSpillCapTrace() {
+  TraceBuilder B;
+  const ThreadId Th = B.declareThread("T0");
+  const VarId V = B.declareVar("x");
+  const LocId L = B.declareLoc("L0");
+  B.reserve(700000);
+  for (int I = 0; I != 700000; ++I)
+    B.appendWrite(Th, V, L);
+  return B.take();
+}
+
+TEST_F(ServeResumeTest, AcksKeepLongStreamsUnderTheSpillCap) {
+  // The same past-the-cap stream against a real server: its Acks trim
+  // the spill as frames apply, so the session completes.
+  const Trace T = pastSpillCapTrace();
+  RaceServerConfig Cfg = baseConfig("longstream");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+  WireClient C;
+  ASSERT_TRUE(C.connectResumable(Cfg.SocketPath, 2000).ok());
+  ASSERT_TRUE(C.sendDeclares(T).ok());
+  const Status S = C.sendEvents(T);
+  ASSERT_TRUE(S.ok()) << S.str();
+  ASSERT_TRUE(C.sendFinishReliable().ok());
+  std::string Payload;
+  ASSERT_TRUE(C.awaitReport(Payload).ok());
+  ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
+  EXPECT_EQ(Server.finishedSessions()[0].Events, T.size());
+  Server.stop();
+}
+
+TEST_F(ServeResumeTest, SpillOverflowFailsLoudlyWithoutHanging) {
+  // A listener that grants a resume token, then reads and discards every
+  // byte without ever acknowledging one.
+  const std::string Path = tempPath("spill.sock");
+  ::unlink(Path.c_str());
+  const int Listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Listener, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  ASSERT_LT(Path.size(), sizeof(Addr.sun_path));
+  std::copy(Path.begin(), Path.end(), Addr.sun_path);
+  ASSERT_EQ(::bind(Listener, reinterpret_cast<const sockaddr *>(&Addr),
+                   sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Listener, 1), 0);
+  std::thread Sink([Listener] {
+    const int S = ::accept(Listener, nullptr, nullptr);
+    if (S < 0)
+      return;
+    const size_t HelloSize = wireHelloFrame(WireHelloResumable).size();
+    char Buf[1 << 16];
+    size_t Got = 0;
+    for (;;) {
+      const ssize_t N = ::recv(S, Buf, sizeof(Buf), 0);
+      if (N <= 0)
+        break;
+      if (Got < HelloSize && Got + static_cast<size_t>(N) >= HelloSize) {
+        const std::string W = wireWelcomeFrame(/*SessionId=*/1, /*Token=*/42);
+        ::send(S, W.data(), W.size(), MSG_NOSIGNAL);
+      }
+      Got += static_cast<size_t>(N);
+    }
+    ::close(S);
+  });
+
+  const Trace T = pastSpillCapTrace();
+  WireClient C;
+  Status S = C.connectResumable(Path, 2000);
+  EXPECT_TRUE(S.ok()) << S.str();
+  EXPECT_EQ(C.sessionToken(), 42u);
+  if (S.ok()) {
+    S = C.sendEvents(T);
+    EXPECT_EQ(S.Code, StatusCode::InvalidState) << S.str();
+    EXPECT_NE(S.Message.find("resume spill buffer overflow"),
+              std::string::npos)
+        << S.str();
+  }
+  C.close();
+  ::shutdown(Listener, SHUT_RDWR); // wakes an accept that never got a peer
+  Sink.join();
+  ::close(Listener);
+  ::unlink(Path.c_str());
 }
 
 } // namespace
