@@ -329,8 +329,8 @@ int main(int Argc, char **Argv) {
   // then for each mode (a) ingest fully and analyze, (b) run one
   // AnalysisSession that analyzes published chunks while feedFile is
   // still parsing. Reports are cross-checked lane by lane; each section's
-  // JSON records how much wall clock the overlap saves. All four session
-  // modes stream now — this measures the three parallel ones.
+  // JSON records how much wall clock the overlap saves, for each of the
+  // three session modes.
   if (WindowEvents == 0)
     WindowEvents = std::max<uint64_t>(T.size() / 8, 1);
   struct StreamSection {

@@ -72,7 +72,6 @@ struct Options {
   uint64_t Window = 0;
   uint32_t Shards = 0;
   uint64_t StreamBatch = 0;
-  uint64_t DrainBatch = 0;
   uint64_t BudgetLag = ServeBudgets().MaxLagEvents;
   uint64_t MaxEvents = 0;
   unsigned IngestThreads = 2;
@@ -103,7 +102,6 @@ void printHelp() {
       "  --shards N        per-variable sharded mode, N shards per lane\n"
       "  --threads N       session worker threads (0 = hardware)\n"
       "  --stream-batch N  events per consumer batch\n"
-      "  --drain-batch N   var-sharded drain claim size\n"
       "\n"
       "serving:\n"
       "  --socket PATH     Unix-domain socket to listen on (required)\n"
@@ -214,8 +212,6 @@ int main(int Argc, char **Argv) {
           static_cast<uint32_t>(std::strtoul(NeedsValue(I), nullptr, 10));
     else if (Arg == "--stream-batch")
       Opts.StreamBatch = std::strtoull(NeedsValue(I), nullptr, 10);
-    else if (Arg == "--drain-batch")
-      Opts.DrainBatch = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--budget-lag")
       Opts.BudgetLag = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--max-events")
@@ -275,8 +271,6 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.StreamBatch)
     S.StreamBatchEvents = Opts.StreamBatch;
-  if (Opts.DrainBatch)
-    S.DrainBatch = Opts.DrainBatch;
   if (Opts.RunHb)
     S.addDetector(DetectorKind::Hb);
   if (Opts.RunWcp)

@@ -55,8 +55,6 @@ const char *rapid::runModeName(RunMode M) {
   switch (M) {
   case RunMode::Sequential:
     return "sequential";
-  case RunMode::Fused:
-    return "fused";
   case RunMode::Windowed:
     return "windowed";
   case RunMode::VarSharded:
@@ -116,7 +114,5 @@ Status AnalysisConfig::validate() const {
                    "mode");
   if (StreamBatchEvents == 0)
     return Invalid("StreamBatchEvents must be >= 1");
-  if (DrainBatch == 0)
-    return Invalid("DrainBatch must be >= 1");
   return Status::success();
 }

@@ -12,14 +12,12 @@
 /// instead of each entry point silently interpreting its own corner cases.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
-/// FastTrack, Eraser) or by custom factory, and selects exactly one run
-/// mode:
+/// FastTrack, Eraser, SyncP) or by custom factory, and selects exactly one
+/// of three run modes:
 ///
 ///   Sequential  one independent full-trace walk per detector lane (the
 ///               paper's unwindowed single-pass mode); lanes run
 ///               concurrently and stream behind ingestion in sessions;
-///   Fused       one walk of the trace feeds every detector per event —
-///               N analyses for one trace traversal, on a single thread;
 ///   Windowed    fixed-size event windows, fresh detector per window
 ///               (the handicapped baseline of §4.3 — cross-window races
 ///               are lost by design); sessions dispatch each window onto
@@ -60,9 +58,9 @@ const char *detectorKindName(DetectorKind K);
 DetectorFactory makeDetectorFactory(DetectorKind K);
 
 /// How the analysis walks the trace. See the file comment for semantics.
-enum class RunMode : uint8_t { Sequential, Fused, Windowed, VarSharded };
+enum class RunMode : uint8_t { Sequential, Windowed, VarSharded };
 
-/// Stable lowercase name: "sequential", "fused", "windowed", "var-sharded".
+/// Stable lowercase name: "sequential", "windowed", "var-sharded".
 const char *runModeName(RunMode M);
 
 /// One detector lane of a config: a built-in kind, or a custom factory.
@@ -81,8 +79,8 @@ struct AnalysisConfig {
   RunMode Mode = RunMode::Sequential;
   /// Worker threads (0 = hardware concurrency) of the thread pool that
   /// runs Windowed window tasks / VarSharded shard-check tasks. Unused in
-  /// Sequential/Fused mode, which run one consumer thread per lane (one
-  /// total for Fused) in every entry point.
+  /// Sequential mode, which runs one consumer thread per lane in every
+  /// entry point.
   unsigned Threads = 0;
   /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
   uint64_t WindowEvents = 0;
@@ -97,11 +95,6 @@ struct AnalysisConfig {
   /// Streaming sessions: max events a consumer takes per batch — the
   /// granularity of partial-report visibility.
   uint64_t StreamBatchEvents = 8192;
-  /// VarSharded sessions: accesses a shard drain task claims per round.
-  /// Smaller batches release the shard sooner for partial snapshots and
-  /// spread work across the pool; larger ones amortize the claim
-  /// handshake. Reports are bit-identical for any value >= 1.
-  uint64_t DrainBatch = 4096;
   /// Observability (obs/Metrics.h): when false, no metric slots are
   /// registered and every instrument handle on the hot paths is null, so
   /// the disabled cost per update site is one branch on a cached pointer —

@@ -37,7 +37,7 @@ struct LaneReport {
   double Seconds = 0;
   /// Events this lane has processed (== EventsIngested on completion;
   /// smaller in partial snapshots). What "processed" means per mode:
-  /// sequential/fused — events the detector walked; windowed — events
+  /// sequential — events the detector walked; windowed — events
   /// covered by the retired-window prefix merged into Report; var-sharded
   /// — events the capture clock pass walked (Report covers the possibly
   /// smaller fully-checked frontier mid-stream).

@@ -20,20 +20,22 @@
 // streams:
 //
 //   Sequential   one consumer thread per lane, each running its detector
-//                over published ranges in place (sequentialConsumer);
-//   Fused        one consumer thread walking every lane's detector over
-//                each published range (fusedConsumer);
+//                over published ranges in place (laneConsumer);
 //   Windowed     one window-builder consumer cuts completed windows out of
 //                the published prefix (trace/IncrementalWindowSplitter)
 //                and dispatches a fresh detector per lane × window onto
 //                the session ThreadPool; reports merge deterministically
 //                in window order as they retire (windowedConsumer);
-//   VarSharded   one capture consumer per lane runs the clock pass behind
-//                ingestion; the captured AccessLog is itself published by
-//                watermark, and per-shard drain tasks on the pool replay
-//                committed accesses in place (detect/ShardChecker); only
-//                the final trace-order merge waits for finish()
-//                (varShardConsumer/drainVarShard).
+//   VarSharded   the same laneConsumer per lane, with capture attached:
+//                its walk is the clock pass, the captured AccessLog is
+//                itself published by watermark, and per-shard drain tasks
+//                on the pool replay committed accesses in place
+//                (detect/ShardChecker); only the final trace-order merge
+//                waits for finish() (finishCapture/drainVarShard).
+//
+// A lane that throws fails alone, through one path (failLane): its status
+// carries the error, the other lanes run on, and progress() stops
+// counting it.
 //
 // Mid-stream table growth (text inputs intern lazily; push feeds may
 // declare late) is free: detector state is growable end to end —
@@ -83,6 +85,12 @@ uint64_t toNs(double Seconds) {
   return Seconds <= 0 ? 0 : static_cast<uint64_t>(Seconds * 1e9);
 }
 
+/// Accesses a var-sharded drain task claims per round. Smaller rounds
+/// release the shard sooner for partial snapshots and spread work across
+/// the pool; larger ones amortize the claim handshake. Reports are
+/// bit-identical for any value >= 1.
+constexpr uint64_t DrainBatch = 4096;
+
 /// Locks the deferred \p Lk, charging acquisition time to \p WaitNs when
 /// metrics are enabled — the producer-side table/validation-lock probe
 /// (consumers no longer take the session lock per batch; their only wait
@@ -120,6 +128,9 @@ struct LaneRuntime {
   std::atomic<uint64_t> Consumed{0};
   double Seconds = 0;    ///< Processing time, excluding waits.
   bool Done = false;
+  /// Set by failLane. progress() skips a failed lane: its Consumed count
+  /// froze, and a served client parked on the lag would wait forever.
+  std::atomic<bool> Failed{false};
 
   // Cached instrument handles (obs/Metrics.h; null when metrics are off)
   // plus the lane's timeline track. Written once at session start, then
@@ -137,6 +148,16 @@ struct LaneRuntime {
   HighWater LagEventsPeak;   ///< Peak published-minus-consumed lag.
   uint32_t Track = TraceRecorder::NoTrack;
 };
+
+/// The one lane-failure path (lane consumers and the window builder):
+/// records \p Why as the lane's status, ends the lane and takes it out of
+/// progress()'s minimum.
+void failLane(LaneRuntime &Rt, std::string Why) {
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Why));
+  Rt.Done = true;
+  Rt.Failed.store(true, std::memory_order_release);
+}
 
 // ---- Windowed-mode streaming state ------------------------------------------
 
@@ -196,7 +217,7 @@ struct VarShardState {
   std::mutex LogM;
   std::condition_variable DrainCV; ///< Drain tasks signal progress.
   AccessLog *Log = nullptr;        ///< Owned via LogHolder; appended by the
-                                   ///< capture detector under LogM → SnapM.
+                                   ///< capture walk under SnapM.
   std::unique_ptr<AccessLog> LogHolder;
   uint64_t Partitioned = 0;     ///< Accesses split into WorkLists so far.
   uint64_t CapturedEvents = 0;  ///< Trace events the clock pass covered.
@@ -209,7 +230,8 @@ struct VarShardState {
   /// by the lane's detector, which outlives every drain. Null otherwise.
   const ShardContext *Ctx = nullptr;
   std::vector<std::unique_ptr<VarShard>> Shards;
-  LaneRuntime *Rt = nullptr; ///< Back-pointer for drain-task telemetry.
+  LaneRuntime *Rt = nullptr; ///< Back-pointer to the lane.
+  std::vector<uint32_t> ToSchedule; ///< Consumer-only scratch: new drains.
 };
 
 } // namespace
@@ -267,7 +289,7 @@ struct AnalysisSession::Impl {
   Counter PublishBatches;
   Gauge PublishedGauge;     ///< The published watermark.
   HighWater PublishBatchPeak;
-  Counter ConsumerParkNs;   ///< Shared-consumer modes (fused/builder).
+  Counter ConsumerParkNs;   ///< Window builder's park time.
   Counter WindowsDispatched;
   Gauge WindowsRetired;
   uint32_t IngestTrack = TraceRecorder::NoTrack;
@@ -279,14 +301,17 @@ struct AnalysisSession::Impl {
 
   void start(const Trace *Adopted);
   void adoptTrace(const Trace &T);
-  void sequentialConsumer(LaneRuntime &Rt);
-  void fusedConsumer();
+  void laneConsumer(LaneRuntime &Rt, VarShardState *VS);
   void windowedConsumer();
   void dispatchWindow(const std::shared_ptr<WindowEpoch> &Ep, TraceWindow &&W);
   void finalizeWindowedLanes(WindowEpoch &Ep);
-  void varShardConsumer(LaneRuntime &Rt, VarShardState &VS);
+  bool attachCapture(VarShardState &VS, uint32_t HintThreads,
+                     uint32_t HintVars);
+  void partitionCaptured(VarShardState &VS, uint64_t Consumed);
+  void finishCapture(VarShardState &VS, uint32_t FinalThreads,
+                     uint32_t FinalVars);
   void drainVarShard(VarShardState &VS, uint32_t S);
-  void scheduleDrains(VarShardState &VS, std::vector<uint32_t> &ToSchedule);
+  void scheduleDrains(VarShardState &VS);
   void buildDetectorLocked(LaneRuntime &Rt);
   void registerObservability();
   void stopConsumers();
@@ -307,28 +332,45 @@ void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
   Rt.Name = Rt.Label.empty() ? Rt.D->name() : Rt.Label;
 }
 
-/// One lane of the sequential streaming mode: wait for the watermark,
-/// then run the detector over the published range *in place* — no session
-/// lock, no batch copy. Processing is still chunked (Cfg.StreamBatchEvents)
-/// so SnapM is released regularly for partialResult(). The detector is
-/// built once, against whatever id tables exist when the lane first has
-/// work (taking M only for that one construction); growable detector
-/// state admits ids declared later, so table growth never restarts the
-/// lane (bit-for-bit with runDetector; see the header comment).
-void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
+/// One detector lane, in Sequential and VarSharded mode alike: wait for
+/// the watermark, then run the detector over the published range *in
+/// place* — no session lock, no batch copy. Processing is chunked
+/// (Cfg.StreamBatchEvents) so SnapM is released regularly for
+/// partialResult(). The detector is built once, against whatever id
+/// tables exist when the lane first has work (taking M only for that one
+/// construction); growable detector state admits ids declared later, so
+/// table growth never restarts the lane (bit-for-bit with runDetector; see
+/// the header comment).
+///
+/// A var-sharded lane (\p VS set) whose detector supports capture runs the
+/// same walk as its clock pass: race checks are deferred into the lane's
+/// AccessLog, each chunk's committed accesses go to per-shard drain tasks
+/// (partitionCaptured), and finishCapture() drains the shards and merges
+/// in trace order. A Sequential lane never attaches capture — no
+/// AccessLog, no LogM — and neither does a detector without capture
+/// support. Any exception fails this lane alone (failLane).
+void AnalysisSession::Impl::laneConsumer(LaneRuntime &Rt, VarShardState *VS) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   uint64_t Consumed = 0;
+  bool Capturing = false;
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
-  try {
+  std::string Err;
+  const bool Ok = guardedTask(Err, [&] {
     for (;;) {
       const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
       if (To == Consumed)
         break; // Stopped and fully drained.
       if (!Rt.D) {
-        std::lock_guard<std::mutex> Lk(M);
-        buildDetectorLocked(Rt);
+        uint32_t HintThreads, HintVars;
+        {
+          std::lock_guard<std::mutex> Lk(M);
+          buildDetectorLocked(Rt);
+          HintThreads = Live->numThreads();
+          HintVars = Live->numVars();
+        }
+        Capturing = VS && attachCapture(*VS, HintThreads, HintVars);
       }
       while (Consumed != To) {
         const uint64_t From = Consumed;
@@ -349,120 +391,37 @@ void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
           Consumed = End;
           Rt.Consumed.store(End, std::memory_order_release);
         }
+        if (Capturing)
+          partitionCaptured(*VS, Consumed);
         if (Rec) {
-          Rec->span(Rt.Track, "consume", SpanStart, Rec->nowUs() - SpanStart);
+          Rec->span(Rt.Track, VS ? "capture" : "consume", SpanStart,
+                    Rec->nowUs() - SpanStart);
           Rec->counter("lag:" + Rt.Fallback, Rec->nowUs(), To - End);
         }
       }
     }
+    uint32_t FinalThreads, FinalVars;
     {
       // Zero-event sessions still owe a constructed detector (runDetector
       // on an empty trace constructs, finishes and names one too).
-      std::unique_lock<std::mutex> Lk(M);
+      // Ingestion is over, so these are the final table sizes.
+      std::lock_guard<std::mutex> Lk(M);
       if (!Rt.D)
         buildDetectorLocked(Rt);
+      FinalThreads = Live->numThreads();
+      FinalVars = Live->numVars();
+    }
+    if (Capturing) {
+      finishCapture(*VS, FinalThreads, FinalVars);
+      return;
     }
     std::lock_guard<std::mutex> G(Rt.SnapM);
     Rt.D->finish();
     Rt.Final = Rt.D->report();
     Rt.Done = true;
-  } catch (const std::exception &E) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, E.what());
-    Rt.Done = true;
-  } catch (...) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-    Rt.Done = true;
-  }
-}
-
-/// The fused streaming mode: one consumer drives every lane through the
-/// same in-place walk of the published prefix, so N detectors cost one
-/// pass. A lane that throws is marked failed and dropped from the walk;
-/// the others continue.
-void AnalysisSession::Impl::fusedConsumer() {
-  const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
-  uint64_t Consumed = 0;
-  bool Constructed = false;
-  std::vector<bool> Failed(Lanes.size(), false);
-  auto Stopped = [this] {
-    return IngestDone.load(std::memory_order_seq_cst);
-  };
-
-  auto failLane = [&](size_t L, const char *What) {
-    std::lock_guard<std::mutex> G(Lanes[L]->SnapM);
-    Lanes[L]->LaneStatus = Status(StatusCode::AnalysisError, What);
-    Lanes[L]->Done = true;
-    Failed[L] = true;
-  };
-  auto guardedLane = [&](size_t L, auto &&Body) {
-    if (Failed[L])
-      return;
-    try {
-      Body();
-    } catch (const std::exception &E) {
-      failLane(L, E.what());
-    } catch (...) {
-      failLane(L, "unknown exception");
-    }
-  };
-
-  for (;;) {
-    const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs, Stopped);
-    if (To == Consumed)
-      break; // Stopped and fully drained.
-    if (!Constructed) {
-      std::lock_guard<std::mutex> Lk(M);
-      for (size_t L = 0; L != Lanes.size(); ++L)
-        guardedLane(L, [&] { buildDetectorLocked(*Lanes[L]); });
-      Constructed = true;
-    }
-    while (Consumed != To) {
-      const uint64_t From = Consumed;
-      const uint64_t End = std::min(To, From + Batch);
-      const uint64_t Lag = Store.published() - From;
-      for (size_t L = 0; L != Lanes.size(); ++L) {
-        guardedLane(L, [&] {
-          LaneRuntime &Rt = *Lanes[L];
-          Rt.Batches.add();
-          Rt.BatchEventsPeak.observe(End - From);
-          Rt.LagEventsPeak.observe(Lag);
-          int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-          {
-            std::lock_guard<std::mutex> G(Rt.SnapM);
-            Timer Clock;
-            Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-              Rt.D->processEvent(E, I);
-            });
-            double Sec = Clock.seconds();
-            Rt.Seconds += Sec;
-            Rt.ConsumeNs.add(toNs(Sec));
-            Rt.Consumed.store(End, std::memory_order_release);
-          }
-          if (Rec)
-            Rec->span(Rt.Track, "consume", SpanStart,
-                      Rec->nowUs() - SpanStart);
-        });
-      }
-      Consumed = End;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> Lk(M);
-    if (!Constructed)
-      for (size_t L = 0; L != Lanes.size(); ++L)
-        guardedLane(L, [&] { buildDetectorLocked(*Lanes[L]); });
-  }
-  for (size_t L = 0; L != Lanes.size(); ++L) {
-    guardedLane(L, [&] {
-      LaneRuntime &Rt = *Lanes[L];
-      std::lock_guard<std::mutex> G(Rt.SnapM);
-      Rt.D->finish();
-      Rt.Final = Rt.D->report();
-      Rt.Done = true;
-    });
-  }
+  });
+  if (!Ok)
+    failLane(Rt, std::move(Err));
 }
 
 // ---- Windowed streaming -----------------------------------------------------
@@ -543,7 +502,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
       if (K == 0 && Base.empty())
         Base = S.Name;
       if (!S.Error.empty() && Err.empty())
-        Err = "shard " + std::to_string(K) + ": " + S.Error;
+        Err = "window " + std::to_string(K) + ": " + S.Error;
       Merged.mergeFrom(S.Report);
       Seconds += S.Seconds;
       Covered = Ep.Windows[K]->EndIdx;
@@ -573,7 +532,8 @@ void AnalysisSession::Impl::windowedConsumer() {
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
-  try {
+  std::string Err;
+  const bool Ok = guardedTask(Err, [&] {
     for (;;) {
       const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs,
                                               Stopped);
@@ -612,30 +572,20 @@ void AnalysisSession::Impl::windowedConsumer() {
       finalizeWindowedLanes(*Ep);
       return;
     }
-  } catch (const std::exception &E) {
-    for (auto &Rt : Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Rt->LaneStatus = Status(StatusCode::AnalysisError, E.what());
-      Rt->Done = true;
-    }
-  } catch (...) {
-    for (auto &Rt : Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Rt->LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-      Rt->Done = true;
-    }
-  }
+  });
+  if (!Ok)
+    for (auto &Rt : Lanes)
+      failLane(*Rt, Err);
 }
 
 // ---- Var-sharded streaming --------------------------------------------------
 
-/// Submits drain tasks for the shards in \p ToSchedule (already marked
+/// Submits drain tasks for the shards in VS.ToSchedule (already marked
 /// Scheduled under LogM by the caller; called after LogM is released).
-void AnalysisSession::Impl::scheduleDrains(VarShardState &VS,
-                                           std::vector<uint32_t> &ToSchedule) {
-  for (uint32_t S : ToSchedule)
+void AnalysisSession::Impl::scheduleDrains(VarShardState &VS) {
+  for (uint32_t S : VS.ToSchedule)
     Pool->submit([this, &VS, S] { drainVarShard(VS, S); });
-  ToSchedule.clear();
+  VS.ToSchedule.clear();
 }
 
 /// One drain round for shard \p S: claim a bounded run of committed
@@ -649,7 +599,6 @@ void AnalysisSession::Impl::scheduleDrains(VarShardState &VS,
 /// Loops until no work is left, then clears Scheduled and exits — the
 /// capture consumer re-submits when it commits more.
 void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
-  const uint64_t DrainBatch = Cfg.DrainBatch;
   VarShard &Sh = *VS.Shards[S];
   const AccessLog &Log = *VS.Log;
   const ClockBroadcast &Broadcast = Log.clocks();
@@ -699,246 +648,175 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
   }
 }
 
-/// One lane of the streamed var-sharded mode. The consumer runs the
-/// capture clock pass behind ingestion (exactly the sequential consumer's
-/// in-place walk, but with race checks deferred into the lane's
-/// AccessLog), commits the captured prefix (AccessLog::commit — snapshot
-/// watermark, then access watermark) and partitions the committed range
-/// into per-shard work lists under LogM; per-shard drain tasks replay the
-/// deferred checks in place concurrently — clock pass, shard checks and
-/// merge, spread over time. Detectors without capture support keep the
-/// plain sequential walk (bit-identical to runDetector). Only the
-/// trace-order merge is deferred to the very end.
-void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
-                                             VarShardState &VS) {
-  const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
-  const uint32_t NumShards = std::max<uint32_t>(Cfg.VarShards, 1);
-  std::vector<uint32_t> ToSchedule;
-  uint64_t Consumed = 0;
-  // Consumer-local mirrors of VS fields this thread itself set at attach
-  // time (it is their only writer) — no LogM round-trip per chunk.
-  AccessLog *Log = nullptr;
-  bool Capturing = false;
-  bool PlanReady = false;
-  auto Stopped = [this] {
-    return IngestDone.load(std::memory_order_seq_cst);
-  };
-  try {
-    for (;;) {
-      const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
-      if (To == Consumed)
-        break; // Stopped and fully drained.
-      if (!Rt.D) {
-        uint32_t HintThreads, HintVars;
-        {
-          std::lock_guard<std::mutex> Lk(M);
-          buildDetectorLocked(Rt);
-          HintThreads = Live->numThreads();
-          HintVars = Live->numVars();
-        }
-        // Attach capture, once per session: the log, the broadcast table
-        // and the shard checkers are all growable, so the table sizes at
-        // attach time are sizing hints, not bounds.
-        auto NewLog = std::make_unique<AccessLog>(HintThreads);
-        ShardReplay Replay = ShardReplay::FullHistory;
-        const ShardContext *Ctx = nullptr;
-        {
-          std::lock_guard<std::mutex> G(Rt.SnapM);
-          Capturing = Rt.D && Rt.D->beginCapture(*NewLog);
-          if (Capturing) {
-            Replay = Rt.D->shardReplay();
-            Ctx = Rt.D->shardContext();
-          }
-        }
-        PlanReady = Capturing && Cfg.Strategy == ShardStrategy::Modulo;
-        {
-          std::lock_guard<std::mutex> G(VS.LogM);
-          VS.LogHolder = std::move(NewLog);
-          VS.Log = VS.LogHolder.get();
-          VS.Capturing = Capturing;
-          VS.Replay = Replay;
-          VS.Ctx = Ctx;
-          VS.PlanReady = PlanReady;
-          VS.Plan = ShardPlan(NumShards);
-        }
-        Log = VS.Log;
-        if (PlanReady) {
-          for (uint32_t S = 0; S != NumShards; ++S) {
-            VarShard &Sh = *VS.Shards[S];
-            std::lock_guard<std::mutex> G(Sh.SM);
-            Sh.Checker = std::make_unique<ShardChecker>(
-                Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
-          }
-        }
-      }
-      while (Consumed != To) {
-        const uint64_t From = Consumed;
-        const uint64_t End = std::min(To, From + Batch);
-        Rt.Batches.add();
-        Rt.BatchEventsPeak.observe(End - From);
-        Rt.LagEventsPeak.observe(Store.published() - From);
-        int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-        {
-          // The capture walk itself runs lock-free against the event
-          // store; only the lane snapshot mutex serializes with
-          // partialResult(). Drains read the log via its own committed
-          // watermark, so no LogM here.
-          std::lock_guard<std::mutex> G(Rt.SnapM);
-          Timer Clock;
-          Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-            Rt.D->processEvent(E, I);
-          });
-          double Sec = Clock.seconds();
-          Rt.Seconds += Sec;
-          Rt.ConsumeNs.add(toNs(Sec));
-          Consumed = End;
-          Rt.Consumed.store(End, std::memory_order_release);
-        }
-        // Commit outside LogM (writer-side watermark stores), then
-        // partition the committed range under LogM — the order drains
-        // rely on: every WorkList entry indexes a committed access.
-        const uint64_t CommittedNow = Capturing ? Log->commit() : 0;
-        {
-          std::lock_guard<std::mutex> LG(VS.LogM);
-          VS.CapturedEvents = Consumed;
-          if (Log) {
-            Rt.CapturedAccesses.set(Log->numAccesses());
-            Rt.BroadcastClocks.set(Log->clocks().numSnapshots());
-          }
-          if (PlanReady) {
-            for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
-              uint32_t S = VS.Plan.shardOf(Log->access(I).Var);
-              VarShard &Sh = *VS.Shards[S];
-              Sh.WorkList.append(static_cast<uint32_t>(I));
-              if (!Sh.Scheduled) {
-                Sh.Scheduled = true;
-                ToSchedule.push_back(S);
-              }
-            }
-            VS.Partitioned = CommittedNow;
-          }
-        }
-        if (Rec)
-          Rec->span(Rt.Track, "capture", SpanStart,
-                    Rec->nowUs() - SpanStart);
-        scheduleDrains(VS, ToSchedule);
-      }
-    }
-
-    uint32_t FinalThreads, FinalVars;
-    {
-      // Zero-event sessions still owe a constructed detector. Ingestion
-      // is over, so these are the final table sizes.
-      std::unique_lock<std::mutex> Lk(M);
-      if (!Rt.D)
-        buildDetectorLocked(Rt);
-      FinalThreads = Live->numThreads();
-      FinalVars = Live->numVars();
-    }
-    if (!Capturing) {
-      // Sequential fallback lane (no capture support) — or a zero-event
-      // session whose detector never attached; either way the plain walk
-      // already happened and finish()/report() is the whole story.
-      std::lock_guard<std::mutex> G(Rt.SnapM);
-      Rt.D->finish();
-      Rt.Final = Rt.D->report();
-      Rt.Done = true;
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> G(Rt.SnapM);
-      Timer Clock;
-      Rt.D->finish();
-      Rt.Seconds += Clock.seconds();
-    }
-    // The clock pass is over; make sure its entire log is committed
-    // (idempotent when the last chunk already was).
-    const uint64_t Committed = Log->commit();
-    {
-      std::lock_guard<std::mutex> G(VS.LogM);
-      if (!VS.PlanReady) {
-        // FrequencyBalanced: the plan is a pure function of the full
-        // capture counts, so it is fixed here — shard checks for this
-        // strategy start once the clock pass retires (the modulo plan
-        // needs no counts and streams all along). Counts are sized to the
-        // final tables, so the plan does not depend on when names were
-        // declared.
-        std::vector<uint64_t> Counts(FinalVars, 0);
-        Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                             uint64_t) {
-          ++Counts[A.Var.value()];
-        });
-        VS.Plan = ShardPlan::balancedByFrequency(NumShards, Counts);
-        VS.PlanReady = true;
-        PlanReady = true;
-        for (uint32_t S = 0; S != NumShards; ++S) {
-          VarShard &Sh = *VS.Shards[S];
-          std::lock_guard<std::mutex> SG(Sh.SM);
-          Sh.Checker = std::make_unique<ShardChecker>(
-              VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads,
-              VS.Ctx);
-        }
-        Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                             uint64_t I) {
-          VS.Shards[VS.Plan.shardOf(A.Var)]->WorkList.append(
-              static_cast<uint32_t>(I));
-        });
-        VS.Partitioned = Committed;
-      }
-      for (uint32_t S = 0; S != NumShards; ++S) {
-        VarShard &Sh = *VS.Shards[S];
-        if (Sh.Completed != Sh.WorkList.size() && !Sh.Scheduled) {
-          Sh.Scheduled = true;
-          ToSchedule.push_back(S);
-        }
-      }
-    }
-    scheduleDrains(VS, ToSchedule);
-    {
-      // Wait for the drains to retire every shard of this final epoch.
-      std::unique_lock<std::mutex> G(VS.LogM);
-      VS.DrainCV.wait(G, [&] {
-        for (auto &Sh : VS.Shards)
-          if (Sh->Completed != Sh->WorkList.size())
-            return false;
-        return true;
-      });
-    }
-    // Phase 3 — the deterministic trace-order merge. Everything is
-    // quiescent now (drains exited, no more publication), but the locks
-    // are cheap and keep the invariants simple.
-    std::string Err;
-    std::vector<std::vector<RaceInstance>> PerShard(NumShards);
-    double ShardSeconds = 0;
+/// Attaches capture to a var-sharded lane's freshly built detector, once
+/// per session: the log, the broadcast table and the shard checkers are
+/// all growable, so \p HintThreads / \p HintVars are sizing hints, not
+/// bounds. Returns false, leaving \p VS untouched, for a detector without
+/// capture support — that lane then walks exactly like a Sequential one.
+bool AnalysisSession::Impl::attachCapture(VarShardState &VS,
+                                          uint32_t HintThreads,
+                                          uint32_t HintVars) {
+  LaneRuntime &Rt = *VS.Rt;
+  auto Log = std::make_unique<AccessLog>(HintThreads);
+  ShardReplay Replay;
+  const ShardContext *Ctx;
+  {
+    std::lock_guard<std::mutex> G(Rt.SnapM);
+    if (!Rt.D->beginCapture(*Log))
+      return false;
+    Replay = Rt.D->shardReplay();
+    Ctx = Rt.D->shardContext();
+  }
+  const uint32_t NumShards = static_cast<uint32_t>(VS.Shards.size());
+  const bool PlanReady = Cfg.Strategy == ShardStrategy::Modulo;
+  {
+    std::lock_guard<std::mutex> G(VS.LogM);
+    VS.LogHolder = std::move(Log);
+    VS.Log = VS.LogHolder.get();
+    VS.Capturing = true;
+    VS.Replay = Replay;
+    VS.Ctx = Ctx;
+    VS.PlanReady = PlanReady;
+    VS.Plan = ShardPlan(NumShards);
+  }
+  if (PlanReady) {
     for (uint32_t S = 0; S != NumShards; ++S) {
       VarShard &Sh = *VS.Shards[S];
-      {
-        std::lock_guard<std::mutex> G(VS.LogM);
-        if (!Sh.Error.empty() && Err.empty())
-          Err = "var shard " + std::to_string(S) + ": " + Sh.Error;
-        ShardSeconds += Sh.Seconds;
-      }
-      std::lock_guard<std::mutex> SG(Sh.SM);
-      if (Sh.Checker)
-        PerShard[S] = std::move(Sh.Checker->findings());
+      std::lock_guard<std::mutex> G(Sh.SM);
+      Sh.Checker = std::make_unique<ShardChecker>(
+          Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
     }
-    RaceReport Merged = ShardedAccessHistory::mergeInTraceOrder(PerShard);
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.Seconds += ShardSeconds;
-    if (!Err.empty())
-      Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
-    else
-      Rt.Final = std::move(Merged);
-    Rt.Done = true;
-  } catch (const std::exception &E) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, E.what());
-    Rt.Done = true;
-  } catch (...) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-    Rt.Done = true;
   }
+  return true;
+}
+
+/// Publishes a capture chunk to the drains: commits the captured prefix
+/// outside LogM (AccessLog::commit — writer-side watermark stores), then
+/// partitions the committed range into per-shard work lists under LogM —
+/// the order drains rely on: every WorkList entry indexes a committed
+/// access — and submits a drain for every shard that gained work. Runs on
+/// the lane's consumer, VS.Log's only writer, so it reads VS.Log without
+/// LogM.
+void AnalysisSession::Impl::partitionCaptured(VarShardState &VS,
+                                              uint64_t Consumed) {
+  AccessLog &Log = *VS.Log;
+  const uint64_t CommittedNow = Log.commit();
+  {
+    std::lock_guard<std::mutex> LG(VS.LogM);
+    VS.CapturedEvents = Consumed;
+    VS.Rt->CapturedAccesses.set(Log.numAccesses());
+    VS.Rt->BroadcastClocks.set(Log.clocks().numSnapshots());
+    if (VS.PlanReady) {
+      for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
+        uint32_t S = VS.Plan.shardOf(Log.access(I).Var);
+        VarShard &Sh = *VS.Shards[S];
+        Sh.WorkList.append(static_cast<uint32_t>(I));
+        if (!Sh.Scheduled) {
+          Sh.Scheduled = true;
+          VS.ToSchedule.push_back(S);
+        }
+      }
+      VS.Partitioned = CommittedNow;
+    }
+  }
+  scheduleDrains(VS);
+}
+
+/// The end of a capturing lane, once its clock pass walked the whole
+/// published trace: finish the detector, fix a FrequencyBalanced plan from
+/// the full capture counts (\p FinalVars / \p FinalThreads are the final
+/// table sizes), drain every shard, and merge the findings in trace order
+/// — the only step deferred to finish().
+void AnalysisSession::Impl::finishCapture(VarShardState &VS,
+                                          uint32_t FinalThreads,
+                                          uint32_t FinalVars) {
+  LaneRuntime &Rt = *VS.Rt;
+  const uint32_t NumShards = static_cast<uint32_t>(VS.Shards.size());
+  AccessLog &Log = *VS.Log;
+  {
+    std::lock_guard<std::mutex> G(Rt.SnapM);
+    Timer Clock;
+    Rt.D->finish();
+    Rt.Seconds += Clock.seconds();
+  }
+  // The clock pass is over; make sure its entire log is committed
+  // (idempotent when the last chunk already was).
+  const uint64_t Committed = Log.commit();
+  {
+    std::lock_guard<std::mutex> G(VS.LogM);
+    if (!VS.PlanReady) {
+      // FrequencyBalanced: the plan is a pure function of the full
+      // capture counts, so it is fixed here — shard checks for this
+      // strategy start once the clock pass retires (the modulo plan
+      // needs no counts and streams all along). Counts are sized to the
+      // final tables, so the plan does not depend on when names were
+      // declared.
+      std::vector<uint64_t> Counts(FinalVars, 0);
+      Log.forEachAccess(0, Committed, [&](const DeferredAccess &A,
+                                          uint64_t) {
+        ++Counts[A.Var.value()];
+      });
+      VS.Plan = ShardPlan::balancedByFrequency(NumShards, Counts);
+      VS.PlanReady = true;
+      for (uint32_t S = 0; S != NumShards; ++S) {
+        VarShard &Sh = *VS.Shards[S];
+        std::lock_guard<std::mutex> SG(Sh.SM);
+        Sh.Checker = std::make_unique<ShardChecker>(
+            VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads,
+            VS.Ctx);
+      }
+      Log.forEachAccess(0, Committed, [&](const DeferredAccess &A,
+                                          uint64_t I) {
+        VS.Shards[VS.Plan.shardOf(A.Var)]->WorkList.append(
+            static_cast<uint32_t>(I));
+      });
+      VS.Partitioned = Committed;
+    }
+    for (uint32_t S = 0; S != NumShards; ++S) {
+      VarShard &Sh = *VS.Shards[S];
+      if (Sh.Completed != Sh.WorkList.size() && !Sh.Scheduled) {
+        Sh.Scheduled = true;
+        VS.ToSchedule.push_back(S);
+      }
+    }
+  }
+  scheduleDrains(VS);
+  {
+    // Wait for the drains to retire every shard.
+    std::unique_lock<std::mutex> G(VS.LogM);
+    VS.DrainCV.wait(G, [&] {
+      for (auto &Sh : VS.Shards)
+        if (Sh->Completed != Sh->WorkList.size())
+          return false;
+      return true;
+    });
+  }
+  // The deterministic trace-order merge. Everything is quiescent now
+  // (drains exited, no more publication), but the locks are cheap and
+  // keep the invariants simple.
+  std::string Err;
+  std::vector<std::vector<RaceInstance>> PerShard(NumShards);
+  double ShardSeconds = 0;
+  for (uint32_t S = 0; S != NumShards; ++S) {
+    VarShard &Sh = *VS.Shards[S];
+    {
+      std::lock_guard<std::mutex> G(VS.LogM);
+      if (!Sh.Error.empty() && Err.empty())
+        Err = "var shard " + std::to_string(S) + ": " + Sh.Error;
+      ShardSeconds += Sh.Seconds;
+    }
+    std::lock_guard<std::mutex> SG(Sh.SM);
+    if (Sh.Checker)
+      PerShard[S] = std::move(Sh.Checker->findings());
+  }
+  RaceReport Merged = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  Rt.Seconds += ShardSeconds;
+  if (!Err.empty())
+    Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
+  else
+    Rt.Final = std::move(Merged);
+  Rt.Done = true;
 }
 
 // ---- Session lifecycle ------------------------------------------------------
@@ -958,9 +836,8 @@ void AnalysisSession::Impl::registerObservability() {
   PublishBatches = Root.counter("publish.batches");
   PublishBatchPeak = Root.highWater("publish.batch_events_peak");
   PublishedGauge = Root.gauge("publish.events");
-  if (Cfg.Mode == RunMode::Fused || Cfg.Mode == RunMode::Windowed)
-    ConsumerParkNs = Root.counter("consume.park_ns");
   if (Cfg.Mode == RunMode::Windowed) {
+    ConsumerParkNs = Root.counter("consume.park_ns");
     WindowsDispatched = Root.counter("window.dispatched");
     WindowsRetired = Root.gauge("window.retired");
   }
@@ -1018,10 +895,9 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
   switch (Cfg.Mode) {
   case RunMode::Sequential:
     for (auto &Rt : Lanes)
-      Consumers.emplace_back([this, R = Rt.get()] { sequentialConsumer(*R); });
-    break;
-  case RunMode::Fused:
-    Consumers.emplace_back([this] { fusedConsumer(); });
+      Consumers.emplace_back([this, R = Rt.get()] {
+        laneConsumer(*R, nullptr);
+      });
     break;
   case RunMode::Windowed:
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
@@ -1042,7 +918,7 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
     for (size_t L = 0; L != Lanes.size(); ++L)
       Consumers.emplace_back(
           [this, R = Lanes[L].get(), V = VarStates[L].get()] {
-            varShardConsumer(*R, *V);
+            laneConsumer(*R, V);
           });
     break;
   }
@@ -1369,35 +1245,6 @@ Status AnalysisSession::feed(const std::vector<Event> &Batch) {
   return Status::success();
 }
 
-Status AnalysisSession::feedTrace(const Trace &T) {
-  if (Status G = I->ingestGate(); !G.ok())
-    return G;
-  Timer Ingest;
-  int64_t SpanStart = I->Rec ? I->Rec->nowUs() : 0;
-  {
-    std::unique_lock<std::mutex> Lk(I->M, std::defer_lock);
-    lockCharged(Lk, I->IngestLockWaitNs);
-    if (I->Ingested || I->Owned.size() != 0)
-      return Status(StatusCode::InvalidState,
-                    "feedTrace requires an empty session (it adopts the "
-                    "trace's id tables)");
-    I->Ingested = true;
-    I->Owned.adoptTables(T);
-    I->Owned.reserve(T.size());
-    for (const Event &E : T.events())
-      I->Owned.append(E);
-    bool Clean = I->validateNewLocked();
-    I->publishLocked(); // The watermark store doubles as the wake.
-    I->IngestSeconds += Ingest.seconds();
-    if (!Clean)
-      return I->SessionStatus;
-  }
-  if (I->Rec)
-    I->Rec->span(I->IngestTrack, "feed-trace", SpanStart,
-                 I->Rec->nowUs() - SpanStart);
-  return Status::success();
-}
-
 Status AnalysisSession::feedFile(const std::string &Path) {
   if (Status G = I->ingestGate(); !G.ok())
     return G;
@@ -1479,12 +1326,15 @@ AnalysisSession::Progress AnalysisSession::progress() const {
     std::lock_guard<std::mutex> Lk(I->M);
     P.Fed = I->Live->size();
   }
+  // A failed lane has stopped for good; it holds nobody back. (Windowed
+  // lanes share the builder's watermark; a builder failure fails them all.)
   uint64_t Min = P.Published;
-  if (I->Cfg.Mode == RunMode::Windowed) {
-    Min = std::min(Min, I->WinBuilt.load(std::memory_order_relaxed));
-  } else {
-    for (auto &Rt : I->Lanes)
-      Min = std::min(Min, Rt->Consumed.load(std::memory_order_acquire));
+  for (auto &Rt : I->Lanes) {
+    if (Rt->Failed.load(std::memory_order_acquire))
+      continue;
+    Min = std::min(Min, I->Cfg.Mode == RunMode::Windowed
+                            ? I->WinBuilt.load(std::memory_order_relaxed)
+                            : Rt->Consumed.load(std::memory_order_acquire));
   }
   P.MinLaneConsumed = Min;
   return P;
@@ -1539,7 +1389,6 @@ AnalysisResult AnalysisSession::finish() {
   AnalysisResult R = I->snapshotLanes(/*Partial=*/false);
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
-  case RunMode::Fused:
     R.ThreadsUsed = std::max(NumConsumers, 1u);
     break;
   case RunMode::Windowed:

@@ -19,22 +19,25 @@
 /// Every mode streams: ingestion publishes a growing event prefix (single
 /// producer) and analysis consumes published ranges concurrently
 /// (multiple consumers), so analysis overlaps ingestion — applied to all
-/// four run modes. The session is the repo's one analysis engine: the
+/// three run modes. The session is the repo's one analysis engine: the
 /// one-shot analyzeTrace() below is a session over a complete trace.
 /// Reports are bit-identical to the independent oracles in every mode
 /// (sequential runDetector; runDetectorWindowed's plain loop):
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
-///   Fused        one consumer thread walks every lane per batch;
 ///   Windowed     each window dispatches onto the session's thread pool
 ///                (a fresh detector per lane × window — no global state)
 ///                the moment its event range publishes, and window
 ///                reports merge deterministically in window order;
-///   VarSharded   the capture clock pass runs behind ingestion and
-///                per-shard check tasks replay published AccessLog
-///                prefixes concurrently; only the final trace-order
-///                merge waits for finish().
+///   VarSharded   the same per-lane walk runs as the capture clock
+///                pass behind ingestion, and per-shard check tasks replay
+///                published AccessLog prefixes concurrently; only the
+///                final trace-order merge waits for finish().
+///
+/// A lane whose detector throws fails alone: its LaneReport carries an
+/// AnalysisError, the other lanes complete, and progress() stops counting
+/// it (so a served client is never parked behind a dead lane).
 ///
 /// Detectors are constructed against the id tables (threads/locks/vars)
 /// visible when a lane first has work, and *grow in place* when tables
@@ -107,18 +110,15 @@ public:
   VarId declareVar(std::string_view Name);
   LocId declareLoc(std::string_view Name);
   /// Adopts \p T's id tables wholesale (the push equivalent of a binary
-  /// header). Only valid before any events or names exist.
+  /// header). Only valid before any events or names exist. With
+  /// feed(T.events()) after it, a session ingests a whole in-memory trace;
+  /// prefer analyzeTrace() for zero-copy one-shot batch runs.
   Status declareTablesFrom(const Trace &T);
 
   /// Appends one event / a batch. Ids must already be declared; undeclared
   /// ids reject the whole batch with ValidationError (nothing is appended).
   Status feed(const Event &E);
   Status feed(const std::vector<Event> &Batch);
-
-  /// Bulk-adopts a whole in-memory trace (tables + events). Only valid as
-  /// the first ingestion; copies the trace. Prefer analyzeTrace() for
-  /// zero-copy one-shot batch runs.
-  Status feedTrace(const Trace &T);
 
   /// Streams the file at \p Path into the session. Regular files are
   /// memory-mapped (io/MappedFile) and parsed zero-copy; other inputs go
@@ -136,19 +136,20 @@ public:
 
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
-  /// past its budget). Cheap and takes no lane lock, so it never waits
+  /// past its budget). A failed lane no longer counts toward
+  /// MinLaneConsumed. Cheap and takes no lane lock, so it never waits
   /// on a lane mid-batch; safe to call concurrently with feeds and
   /// consumers, like partialResult().
   struct Progress {
     uint64_t Fed = 0;             ///< Events appended (>= Published).
     uint64_t Published = 0;       ///< Validated events visible to lanes.
-    uint64_t MinLaneConsumed = 0; ///< Slowest lane's consumed watermark.
+    uint64_t MinLaneConsumed = 0; ///< Slowest live lane's watermark.
   };
   Progress progress() const;
 
   /// Mid-stream snapshot: per-lane races discovered so far and events
-  /// consumed. Every mode reports live progress — sequential
-  /// and fused lanes return their detector's report so far; windowed
+  /// consumed. Every mode reports live progress — sequential lanes
+  /// return their detector's report so far; windowed
   /// lanes the merge of the retired-window prefix (EventsConsumed counts
   /// the events those windows cover); var-sharded lanes the merged
   /// findings below the fully checked frontier (EventsConsumed tracks the

@@ -10,6 +10,7 @@
 #include "api/AnalysisConfig.h"
 #include "api/AnalysisSession.h"
 #include "detect/DetectorRunner.h"
+#include "hb/HbDetector.h"
 #include "reference/ClosureEngine.h"
 #include "support/Prng.h"
 #include "trace/Trace.h"
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,18 +84,40 @@ inline RunResult oracleLane(const AnalysisConfig &Cfg, size_t L,
   return runDetector(*D, T);
 }
 
+/// A lane that fails mid-stream: an HB detector that throws "detector
+/// exploded at event N" from its \p N-th processEvent call (counted per
+/// detector, so every window of a windowed run that reaches N events
+/// throws too).
+inline DetectorFactory hbThrowingAt(uint64_t N) {
+  class ThrowingHb : public HbDetector {
+  public:
+    ThrowingHb(const Trace &T, uint64_t N) : HbDetector(T), N(N) {}
+    void processEvent(const Event &E, EventIdx I) override {
+      if (++Seen == N)
+        throw std::runtime_error("detector exploded at event " +
+                                 std::to_string(N));
+      HbDetector::processEvent(E, I);
+    }
+
+  private:
+    uint64_t N;
+    uint64_t Seen = 0;
+  };
+  return [N](const Trace &T) { return std::make_unique<ThrowingHb>(T, N); };
+}
+
 /// Streams \p T into one session per run mode — every name declared just
 /// before its first use, events fed one at a time to lanes that consume
 /// behind the producer, so a thread, lock or variable first seen
 /// mid-stream grows lane state in place — and expects each lane of
 /// \p Kinds bit-for-bit equal to its session-free oracle (oracleLane):
-/// runDetector in Sequential, Fused and VarSharded mode, the plain
+/// runDetector in Sequential and VarSharded mode, the plain
 /// windowed loop over \p WindowEvents-event windows in Windowed mode.
 inline void expectStreamedModesMatchOracles(
     const Trace &T, const std::vector<DetectorKind> &Kinds,
     const std::string &Label, uint64_t WindowEvents = 16) {
-  for (RunMode Mode : {RunMode::Sequential, RunMode::Fused,
-                       RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode :
+       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg;
     Cfg.Mode = Mode;
     for (DetectorKind K : Kinds)

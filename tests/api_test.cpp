@@ -5,8 +5,8 @@
 // The session API's contract has three legs, pinned here:
 //
 //   1. equivalence — a streaming session is the oracle's pass spread
-//      over time: for every mode (sequential, fused, windowed,
-//      var-sharded) and detector, the final report is bit-identical to
+//      over time: for every mode (sequential, windowed, var-sharded) and
+//      detector, the final report is bit-identical to
 //      the session-free oracles (runDetector; runDetectorWindowed's plain
 //      loop in windowed mode), on 100 seeded random traces per detector,
 //      whether events arrive as one trace, as push batches, through
@@ -117,18 +117,20 @@ class ApiStreamFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 // 50 seeds x {no-forkjoin, forkjoin} = 100 distinct traces, each analyzed
 // by all four detectors: a sequential-mode session fed the whole trace
 // must reproduce runDetector exactly, per lane.
-TEST_P(ApiStreamFuzzTest, SessionFeedTraceMatchesBatchBitForBit) {
+TEST_P(ApiStreamFuzzTest, SessionWholeTraceMatchesBatchBitForBit) {
   for (bool ForkJoin : {false, true}) {
     Trace T = randomTrace(fuzzParams(GetParam(), ForkJoin));
     ASSERT_TRUE(validateTrace(T).ok());
     AnalysisSession S(allDetectorConfig(RunMode::Sequential));
-    ASSERT_TRUE(S.feedTrace(T).ok());
+    ASSERT_TRUE(S.declareTablesFrom(T).ok());
+    ASSERT_TRUE(S.feed(T.events()).ok());
     AnalysisResult R = S.finish();
     ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
     EXPECT_TRUE(R.Streamed);
     EXPECT_EQ(R.EventsIngested, T.size());
     expectLanesMatchSequential(R, T,
-                               "feedTrace seed " + std::to_string(GetParam()) +
+                               "whole-trace seed " +
+                                   std::to_string(GetParam()) +
                                    " fj=" + std::to_string(ForkJoin));
   }
 }
@@ -154,18 +156,6 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, T,
                              "push seed " + std::to_string(GetParam()));
-}
-
-// Fused mode: one consumer walks the published prefix once, feeding every
-// detector — still bit-identical to independent sequential runs.
-TEST_P(ApiStreamFuzzTest, FusedSessionMatchesBatchBitForBit) {
-  Trace T = randomTrace(fuzzParams(GetParam() ^ 0x51ed, GetParam() % 2 == 1));
-  AnalysisSession S(allDetectorConfig(RunMode::Fused));
-  ASSERT_TRUE(S.feedTrace(T).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
-  expectLanesMatchSequential(R, T,
-                             "fused seed " + std::to_string(GetParam()));
 }
 
 // Windowed sessions stream: windows dispatch onto the pool as their event
@@ -545,7 +535,8 @@ TEST(ApiSessionTest, PartialReportsSurfaceRacesMidStream) {
   AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
   Cfg.StreamBatchEvents = 4;
   AnalysisSession S(Cfg);
-  ASSERT_TRUE(S.feedTrace(Prefix).ok());
+  ASSERT_TRUE(S.declareTablesFrom(Prefix).ok());
+  ASSERT_TRUE(S.feed(Prefix.events()).ok());
 
   bool Drained = false;
   AnalysisResult Mid;
@@ -591,7 +582,6 @@ TEST(ApiSessionTest, FeedAfterFinishAndDoubleFinishAreRejected) {
 
   Status Fed = S.feed(Event(EventKind::Write, T0, X.value(), L));
   EXPECT_EQ(Fed.Code, StatusCode::InvalidState) << Fed.str();
-  EXPECT_EQ(S.feedTrace(Trace()).Code, StatusCode::InvalidState);
   EXPECT_EQ(S.feedFile("x.bin").Code, StatusCode::InvalidState);
 
   AnalysisResult Again = S.finish();
@@ -605,10 +595,9 @@ TEST(ApiSessionTest, FeedAfterFinishAndDoubleFinishAreRejected) {
 TEST(ApiSessionTest, IngestPreconditionsAreEnforced) {
   Trace T = randomTrace(fuzzParams(3, false));
   {
-    // feedTrace/feedFile demand an empty session.
+    // declareTablesFrom demands an empty session.
     AnalysisSession S(allDetectorConfig(RunMode::Sequential));
     S.declareThread("T0");
-    EXPECT_EQ(S.feedTrace(T).Code, StatusCode::InvalidState);
     EXPECT_EQ(S.declareTablesFrom(T).Code, StatusCode::InvalidState);
   }
   {
@@ -639,7 +628,8 @@ TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchOracles) {
       Cfg.WindowEvents = 64;
       Cfg.Threads = 1;
       AnalysisSession S(Cfg);
-      ASSERT_TRUE(S.feedTrace(T).ok());
+      ASSERT_TRUE(S.declareTablesFrom(T).ok());
+      ASSERT_TRUE(S.feed(T.events()).ok());
       AnalysisResult R = S.finish();
       ASSERT_TRUE(R.ok()) << R.firstError().str();
       EXPECT_TRUE(R.Streamed) << "windowed sessions stream since PR 4";
@@ -658,7 +648,8 @@ TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchOracles) {
       Cfg.VarShards = 4;
       Cfg.Strategy = Strategy;
       AnalysisSession S(Cfg);
-      ASSERT_TRUE(S.feedTrace(T).ok());
+      ASSERT_TRUE(S.declareTablesFrom(T).ok());
+      ASSERT_TRUE(S.feed(T.events()).ok());
       AnalysisResult R = S.finish();
       ASSERT_TRUE(R.ok()) << R.firstError().str();
       EXPECT_EQ(R.VarShards, 4u);
@@ -705,7 +696,7 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
     expectInvalid(Cfg, "var-sharded without VarShards");
   }
   {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Fused);
+    AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
     Cfg.VarShards = 2;
     expectInvalid(Cfg, "VarShards outside var-sharded mode");
   }
@@ -718,12 +709,6 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
     AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
     Cfg.StreamBatchEvents = 0;
     expectInvalid(Cfg, "zero stream batch");
-  }
-  {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
-    Cfg.VarShards = 2;
-    Cfg.DrainBatch = 0;
-    expectInvalid(Cfg, "zero drain batch");
   }
 
   // The same statuses flow through the entry points.
@@ -750,48 +735,97 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
   }
 }
 
-// DrainBatch only paces how the var-sharded drain slices its replay work
-// into pool tasks; any value must leave every lane bit-identical to the
-// sequential walk. Sweep the extremes: per-event draining, a mid-size
-// batch, and one far larger than the trace (single-task drain).
-TEST(ApiSessionTest, DrainBatchSweepIsBitForBit) {
-  Trace T = randomTrace(fuzzParams(29, /*ForkJoin=*/true));
-  for (uint64_t Batch : {uint64_t(1), uint64_t(64), uint64_t(100000)}) {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
-    Cfg.VarShards = 4;
-    Cfg.Threads = 2;
-    Cfg.DrainBatch = Batch;
+// A lane that throws fails alone with a structured status, in every mode:
+// one detector throws from its constructor, one from its 40th event. The
+// healthy lane still equals its oracle, and windowed lanes name the first
+// window that failed.
+TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
+  Trace T = randomTrace(fuzzParams(7, false));
+  ASSERT_GT(T.size(), 128u);
+  for (RunMode Mode :
+       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
+    const std::string Label = runModeName(Mode);
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    Cfg.StreamBatchEvents = 16;
+    if (Mode == RunMode::Windowed)
+      Cfg.WindowEvents = 64;
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 2;
+    Cfg.addDetector(DetectorKind::Hb);
+    Cfg.addDetector(
+        [](const Trace &) -> std::unique_ptr<Detector> {
+          throw std::runtime_error("detector exploded");
+        },
+        "Boom");
+    Cfg.addDetector(testutil::hbThrowingAt(40), "MidBoom");
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.declareTablesFrom(T).ok());
     ASSERT_TRUE(S.feed(T.events()).ok());
     AnalysisResult R = S.finish();
-    ASSERT_TRUE(R.ok()) << R.firstError().str();
-    expectLanesMatchSequential(R, T,
-                               "drain batch " + std::to_string(Batch));
+    ASSERT_EQ(R.Lanes.size(), 3u) << Label;
+    ASSERT_TRUE(R.Lanes[0].LaneStatus.ok())
+        << Label << ": " << R.Lanes[0].LaneStatus.str();
+    EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u) << Label;
+    expectSameReport(R.Lanes[0].Report, oracleLane(Cfg, 0, T).Report, T,
+                     Label + "/HB");
+
+    const std::string Where = Mode == RunMode::Windowed ? "window 0: " : "";
+    EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError) << Label;
+    EXPECT_EQ(R.Lanes[1].LaneStatus.Message, Where + "detector exploded")
+        << Label;
+    EXPECT_EQ(R.Lanes[1].DetectorName,
+              Mode == RunMode::Windowed ? "Boom[w=64]" : "Boom");
+    EXPECT_EQ(R.Lanes[2].LaneStatus.Code, StatusCode::AnalysisError) << Label;
+    EXPECT_EQ(R.Lanes[2].LaneStatus.Message,
+              Where + "detector exploded at event 40")
+        << Label;
+    EXPECT_FALSE(R.ok()) << Label;
+    EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError) << Label;
   }
 }
 
-// A lane that throws mid-stream fails alone with a structured status; the
-// other lanes complete.
-TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
+// A failed lane has stopped for good, so it must stop holding back
+// progress(): otherwise Published - MinLaneConsumed only grows, and a
+// served client parked on that lag never resumes.
+TEST(ApiSessionTest, FailedLaneStopsHoldingBackProgress) {
   Trace T = randomTrace(fuzzParams(7, false));
-  AnalysisConfig Cfg;
-  Cfg.addDetector(DetectorKind::Hb);
-  Cfg.addDetector(
-      [](const Trace &) -> std::unique_ptr<Detector> {
-        throw std::runtime_error("detector exploded");
-      },
-      "Boom");
-  AnalysisSession S(Cfg);
-  ASSERT_TRUE(S.feedTrace(T).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_EQ(R.Lanes.size(), 2u);
-  EXPECT_TRUE(R.Lanes[0].LaneStatus.ok()) << R.Lanes[0].LaneStatus.str();
-  EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u);
-  EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError);
-  EXPECT_NE(R.Lanes[1].LaneStatus.Message.find("detector exploded"),
-            std::string::npos);
-  EXPECT_EQ(R.Lanes[1].DetectorName, "Boom");
-  EXPECT_FALSE(R.ok());
-  EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError);
+  ASSERT_GT(T.size(), 128u);
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
+    const std::string Label = runModeName(Mode);
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    Cfg.StreamBatchEvents = 16;
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 2;
+    Cfg.addDetector(DetectorKind::Hb);
+    Cfg.addDetector(testutil::hbThrowingAt(100), "MidBoom");
+    AnalysisSession S(Cfg);
+    ASSERT_TRUE(S.declareTablesFrom(T).ok());
+    ASSERT_TRUE(S.feed(T.events()).ok());
+
+    // Bounded: ten seconds at most, so a stuck lag fails instead of hanging.
+    AnalysisSession::Progress P;
+    bool CaughtUp = false;
+    for (int Spin = 0; Spin != 10000 && !CaughtUp; ++Spin) {
+      P = S.progress();
+      CaughtUp = P.Published == T.size() && P.MinLaneConsumed == P.Published;
+      if (!CaughtUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(CaughtUp) << Label << ": lag stuck at "
+                          << P.Published - P.MinLaneConsumed << " of "
+                          << P.Published << " published events";
+
+    AnalysisResult Mid = S.partialResult();
+    ASSERT_EQ(Mid.Lanes.size(), 2u) << Label;
+    EXPECT_EQ(Mid.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError)
+        << Label;
+    EXPECT_LT(Mid.Lanes[1].EventsConsumed, 100u) << Label;
+    AnalysisResult R = S.finish();
+    EXPECT_TRUE(R.Lanes[0].LaneStatus.ok()) << Label;
+    EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size()) << Label;
+    EXPECT_EQ(R.Lanes[1].LaneStatus.Message, "detector exploded at event 100")
+        << Label;
+  }
 }

@@ -13,7 +13,7 @@
 //      modes, runDetectorWindowed's plain loop in windowed mode,
 //
 // for every detector and every run mode. 50 seeds x {no-forkjoin,
-// forkjoin} = 100 distinct traces; each runs through all four modes with
+// forkjoin} = 100 distinct traces; each runs through all three modes with
 // all four detector lanes, with a seed-derived random declaration
 // schedule: ids are declared in table order (the session's interner
 // assigns ids in declaration order) but at random offsets — sometimes
@@ -193,12 +193,12 @@ AnalysisConfig growthConfig(RunMode Mode, uint64_t Seed) {
 
 class GrowthFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// Runs \p T through all four modes with a lazy declaration schedule and
+/// Runs \p T through all three modes with a lazy declaration schedule and
 /// holds every lane to the bit-for-bit contract against its oracle.
 void expectGrowthRoundHolds(const Trace &T, uint64_t Seed, uint64_t DeclSeed,
                             const std::string &TraceLabel) {
-  for (RunMode Mode : {RunMode::Sequential, RunMode::Fused,
-                       RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode :
+       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg = growthConfig(Mode, Seed);
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.status().ok()) << S.status().str();

@@ -316,7 +316,8 @@ TEST(ObsSessionTest, PartialSnapshotsRaceIngestionSafely) {
   Off.Metrics = false;
   Off.Timeline = false;
   AnalysisSession S2(Off);
-  ASSERT_TRUE(S2.feedTrace(T).ok());
+  ASSERT_TRUE(S2.declareTablesFrom(T).ok());
+  ASSERT_TRUE(S2.feed(T.events()).ok());
   AnalysisResult R2 = S2.finish();
   ASSERT_TRUE(R2.ok());
   EXPECT_TRUE(R2.Telemetry.empty());

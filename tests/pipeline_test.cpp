@@ -136,21 +136,14 @@ TEST_P(AnalyzeTraceRandomTest, SequentialMatchesRunDetector) {
 INSTANTIATE_TEST_SUITE_P(Random, AnalyzeTraceRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-TEST(AnalyzeTraceTest, FusedSingleWalkMatchesRunDetector) {
-  AnalysisConfig Cfg = allLanesConfig(RunMode::Fused);
-  expectAnalyzeMatchesOracle(makeWorkload(workloadSpec("pingpong")), Cfg,
-                             "fused/pingpong");
-  expectAnalyzeMatchesOracle(mediumRandomTrace(99), Cfg, "fused/random");
-}
-
 // The adopted trace is the published store: the whole trace counts as
 // ingested and published, no lane is reported as streamed, and nothing
 // was validated or copied on the way (EventsIngested is the caller's
 // size in every mode).
 TEST(AnalyzeTraceTest, AdoptsTheWholeTraceInEveryMode) {
   Trace T = mediumRandomTrace(8);
-  for (RunMode Mode : {RunMode::Sequential, RunMode::Fused,
-                       RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode :
+       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg = allLanesConfig(Mode, 2);
     if (Mode == RunMode::Windowed)
       Cfg.WindowEvents = 50;

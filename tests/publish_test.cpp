@@ -244,7 +244,7 @@ TEST(PublishedStoreTest, AdoptReadsCallerStorageInPlace) {
 // ---- Session seqlock path under fire ----------------------------------------
 
 // The tentpole stress: a producer thread pushes randomized batch sizes
-// through a fused session (every lane reads the published prefix in
+// through a sequential session (every lane reads the published prefix in
 // place) while the main thread hammers partialResult() and
 // exportTimeline(). Every snapshot must be internally consistent —
 // EventsIngested monotone, every lane within the watermark, every race
@@ -256,8 +256,7 @@ TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
   Trace T = randomTrace(fuzzParams(Seed ^ 0xbeef, Seed % 2 == 0));
   ASSERT_TRUE(validateTrace(T).ok());
 
-  AnalysisConfig Cfg = allDetectorConfig(Seed % 2 ? RunMode::Fused
-                                                  : RunMode::Sequential);
+  AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
   Cfg.StreamBatchEvents = 1 + Seed % 23; // Randomized consumer drain size.
   Cfg.Timeline = true;
   AnalysisSession S(Cfg);
@@ -311,13 +310,13 @@ TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
 }
 
 // In-place lane reads vs runDetector, bit for bit: 50 seeds x
-// {no-forkjoin, forkjoin} = 100 traces through a fused session with a
+// {no-forkjoin, forkjoin} = 100 traces through a sequential session with a
 // small drain size (many watermark rounds), each lane pinned against an
 // independent sequential run.
 TEST_P(PublishFuzzTest, InPlaceLaneReadsMatchBatchBitForBit) {
   for (bool ForkJoin : {false, true}) {
     Trace T = randomTrace(fuzzParams(GetParam() ^ 0x7a11, ForkJoin));
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Fused);
+    AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
     Cfg.StreamBatchEvents = 1 + GetParam() % 13;
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.declareTablesFrom(T).ok());

@@ -60,7 +60,8 @@ AnalysisConfig hbWcpConfig() {
 
 std::string directCanon(const AnalysisConfig &Cfg, const Trace &T) {
   AnalysisSession S(Cfg);
-  EXPECT_TRUE(S.feedTrace(T).ok());
+  EXPECT_TRUE(S.declareTablesFrom(T).ok());
+  EXPECT_TRUE(S.feed(T.events()).ok());
   AnalysisResult R = S.finish();
   EXPECT_TRUE(R.ok()) << R.firstError().str();
   return canonicalReport(R, S.trace());

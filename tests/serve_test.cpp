@@ -19,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "api/AnalysisSession.h"
 #include "gen/Workloads.h"
 #include "hb/HbDetector.h"
@@ -59,7 +60,8 @@ AnalysisConfig hbWcpConfig() {
 /// The offline ground truth: feed \p T directly, canonicalize.
 std::string directCanon(const AnalysisConfig &Cfg, const Trace &T) {
   AnalysisSession S(Cfg);
-  EXPECT_TRUE(S.feedTrace(T).ok());
+  EXPECT_TRUE(S.declareTablesFrom(T).ok());
+  EXPECT_TRUE(S.feed(T.events()).ok());
   AnalysisResult R = S.finish();
   EXPECT_TRUE(R.ok()) << R.firstError().str();
   return canonicalReport(R, S.trace());
@@ -111,6 +113,43 @@ void expectCanonIsPrefix(const std::string &Partial, const std::string &Final,
     for (size_t I = 0; I != P[L].size(); ++I)
       EXPECT_EQ(P[L][I], F[L][I]) << Label << " lane " << L << " race " << I;
   }
+}
+
+/// An HB lane that sleeps 1 ms after every event while \p Gate is closed:
+/// decisively behind any producer, yet never blocked, so opening the gate
+/// lets it drain at full speed.
+DetectorFactory throttledHb(std::shared_ptr<std::atomic<bool>> Gate) {
+  class ThrottledHb : public HbDetector {
+  public:
+    ThrottledHb(const Trace &Tr, std::shared_ptr<std::atomic<bool>> G)
+        : HbDetector(Tr), Gate(std::move(G)) {}
+    void processEvent(const Event &E, EventIdx I) override {
+      HbDetector::processEvent(E, I);
+      if (!Gate->load(std::memory_order_acquire))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+  private:
+    std::shared_ptr<std::atomic<bool>> Gate;
+  };
+  return [Gate](const Trace &Tr) {
+    return std::make_unique<ThrottledHb>(Tr, Gate);
+  };
+}
+
+/// Opens a throttledHb gate on scope exit, so a failed ASSERT still lets
+/// the server's finish() drain the lane at full speed.
+struct GateOpener {
+  std::shared_ptr<std::atomic<bool>> G;
+  ~GateOpener() { G->store(true, std::memory_order_release); }
+};
+
+/// True once the server has parked some connection.
+bool serverParked(const RaceServer &Server) {
+  for (const MetricSample &M : Server.metrics())
+    if (M.Name == "parks" && M.Value > 0)
+      return true;
+  return false;
 }
 
 /// Retries \p Pred for up to five seconds (server-side transitions are
@@ -539,22 +578,7 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   auto Gate = std::make_shared<std::atomic<bool>>(false);
   Cfg.Session = AnalysisConfig();
   Cfg.Session.StreamBatchEvents = 64;
-  Cfg.Session.addDetector([Gate](const Trace &Tr) {
-    class ThrottledHb : public HbDetector {
-    public:
-      ThrottledHb(const Trace &Tr, std::shared_ptr<std::atomic<bool>> G)
-          : HbDetector(Tr), Gate(std::move(G)) {}
-      void processEvent(const Event &E, EventIdx I) override {
-        HbDetector::processEvent(E, I);
-        if (!Gate->load(std::memory_order_acquire))
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-
-    private:
-      std::shared_ptr<std::atomic<bool>> Gate;
-    };
-    return std::make_unique<ThrottledHb>(Tr, Gate);
-  }, "throttled-HB");
+  Cfg.Session.addDetector(throttledHb(Gate), "throttled-HB");
   Cfg.Budgets.MaxLagEvents = 64;
   Cfg.PollTimeoutMs = 5;
   RaceServer Server(Cfg);
@@ -562,10 +586,7 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   // Whatever happens below (including a failed ASSERT returning early),
   // open the gate before the server tears down so finish() drains the
   // lane at full speed instead of 1 ms per leftover event.
-  struct GateOpener {
-    std::shared_ptr<std::atomic<bool>> G;
-    ~GateOpener() { G->store(true, std::memory_order_release); }
-  } Opener{Gate};
+  GateOpener Opener{Gate};
 
   WireClient C;
   ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
@@ -574,12 +595,7 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   // Hold Finish back until the park actually happened — with Finish in
   // the same byte burst the first ingest task would go straight to
   // finalize and the backpressure path would never be exercised.
-  const bool Parked = eventually([&] {
-    for (const MetricSample &M : Server.metrics())
-      if (M.Name == "parks" && M.Value > 0)
-        return true;
-    return false;
-  });
+  const bool Parked = eventually([&] { return serverParked(Server); });
   if (!Parked) {
     std::string Dump;
     for (const MetricSample &M : Server.metrics())
@@ -606,6 +622,53 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   EXPECT_TRUE(Done.CleanFinish);
   EXPECT_EQ(Done.Events, T.size()) << "backpressure must not drop events";
   EXPECT_GT(Done.Parks, 0u) << "the slow consumer never parked";
+  Server.stop();
+}
+
+// A lane that throws mid-stream stops for good. It must not keep a parked
+// client parked: once the healthy lane catches up, the connection resumes,
+// and the Report carries the failed lane's status. The Report read is
+// bounded, so a client left parked fails the test instead of hanging it.
+TEST_F(RaceServerTest, FailedLaneDoesNotParkTheClientForever) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("failed-lane");
+  auto Gate = std::make_shared<std::atomic<bool>>(false);
+  Cfg.Session = AnalysisConfig();
+  Cfg.Session.StreamBatchEvents = 64;
+  Cfg.Session.addDetector(throttledHb(Gate), "throttled-HB");
+  Cfg.Session.addDetector(testutil::hbThrowingAt(100), "MidBoom");
+  Cfg.Budgets.MaxLagEvents = 64;
+  Cfg.PollTimeoutMs = 5;
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+  GateOpener Opener{Gate};
+
+  WireClient C;
+  ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+  ASSERT_TRUE(C.sendHello().ok());
+  ASSERT_TRUE(C.sendTrace(T, 32).ok());
+  // The throttled lane guarantees the park; Finish waits for it (see
+  // OverBudgetProducerIsParkedNotDropped).
+  ASSERT_TRUE(eventually([&] { return serverParked(Server); }));
+  Gate->store(true, std::memory_order_release);
+  ASSERT_TRUE(C.sendFinish().ok());
+
+  WireFrame Type;
+  std::string Payload;
+  Status Read = C.readFrame(Type, Payload, /*TimeoutMs=*/10000);
+  ASSERT_TRUE(Read.ok()) << "no report: the client stayed parked ("
+                         << Read.str() << ")";
+  ASSERT_EQ(Type, WireFrame::Report);
+  ASSERT_GE(Payload.size(), 9u);
+  const std::string Canon = Payload.substr(9);
+  EXPECT_NE(Canon.find("lane-status analysis-error: detector exploded at "
+                       "event 100"),
+            std::string::npos)
+      << Canon;
+  EXPECT_NE(Canon.find("lane-status ok"), std::string::npos) << Canon;
+
+  ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
+  EXPECT_EQ(Server.finishedSessions()[0].Events, T.size());
   Server.stop();
 }
 

@@ -13,7 +13,7 @@
 //    and fuzzed) must come with a closure witness that the correct-
 //    reordering checker accepts, and the exhaustive search must agree the
 //    pair is racy;
-//  * mode equivalence — sequential, fused, windowed and var-sharded runs
+//  * mode equivalence — sequential, windowed and var-sharded runs
 //    are bit-for-bit identical (the repo-wide determinism contract; the
 //    differential and growth fuzzers extend this across the adversarial
 //    workload matrix).
@@ -279,7 +279,6 @@ TEST_P(SyncPModeTest, AllModesMatchTheSequentialWalk) {
 
   testutil::expectSameReport(runMode(T, RunMode::Sequential), Want, T,
                              "sequential");
-  testutil::expectSameReport(runMode(T, RunMode::Fused), Want, T, "fused");
   for (uint32_t Shards : {1u, 2u, 5u})
     testutil::expectSameReport(
         runMode(T, RunMode::VarSharded, 0, Shards), Want, T,

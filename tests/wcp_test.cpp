@@ -270,7 +270,7 @@ TEST(WcpWindowedTest, DetectorIsRestartablePerFragment) {
 
 namespace {
 
-/// Full check of one shape: all four modes vs oracles for WCP and HB, the
+/// Full check of one shape: all three modes vs oracles for WCP and HB, the
 /// closure oracle, and a detector grown from an empty table (every thread
 /// and lock admitted mid-stream) reporting what the one built up front
 /// does. (Its queue telemetry may differ: with fewer threads declared, the
