@@ -52,7 +52,6 @@ struct Options {
   bool ShowStats = false;
   bool Stream = false;
   bool Json = false;
-  bool Balanced = false;
   bool DryRun = false;
   bool ShowMetrics = false; // --metrics: human-readable telemetry tables.
   bool NoMetrics = false;   // --no-metrics: zero-cost disable.
@@ -87,8 +86,6 @@ void printHelp() {
       "                 window (cross-window races lost by design)\n"
       "  --shards N     per-variable sharded checks, bit-identical to\n"
       "                 sequential for any N\n"
-      "  --balanced     with --shards: frequency-balanced shard plan\n"
-      "                 (greedy bin-packing on access counts)\n"
       "\n"
       "execution:\n"
       "  --stream       feed the file through a streaming session so\n"
@@ -124,7 +121,7 @@ void printHelp() {
       "examples:\n"
       "  race_cli trace.bin --hb --wcp\n"
       "  race_cli trace.bin --stream --window 100000\n"
-      "  race_cli trace.bin --stream --shards 8 --balanced --threads 4\n"
+      "  race_cli trace.bin --stream --shards 8 --threads 4\n"
       "  race_cli trace.bin --stream --metrics\n"
       "  race_cli trace.bin --stream --window 100000 --trace-out run.json\n"
       "  race_cli trace.txt --json --fasttrack\n"
@@ -184,11 +181,6 @@ std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
   J += "  \"threads_used\": " + std::to_string(R.ThreadsUsed) + ",\n";
   J += "  \"window_events\": " + std::to_string(Cfg.WindowEvents) + ",\n";
   J += "  \"var_shards\": " + std::to_string(Cfg.VarShards) + ",\n";
-  J += "  \"shard_strategy\": \"" +
-       std::string(Cfg.Strategy == ShardStrategy::FrequencyBalanced
-                       ? "frequency-balanced"
-                       : "modulo") +
-       "\",\n";
   J += "  \"wall_seconds\": " + jsonNum(R.WallSeconds) + ",\n";
   J += "  \"ingest_seconds\": " + jsonNum(R.IngestSeconds) + ",\n";
   J += "  \"lane_seconds_total\": " + jsonNum(R.laneSecondsTotal()) + ",\n";
@@ -241,8 +233,6 @@ int main(int Argc, char **Argv) {
       Opts.Stream = true;
     else if (Arg == "--json")
       Opts.Json = true;
-    else if (Arg == "--balanced")
-      Opts.Balanced = true;
     else if (Arg == "--dry-run")
       Opts.DryRun = true;
     else if (Arg == "--metrics")
@@ -299,10 +289,6 @@ int main(int Argc, char **Argv) {
                  "cannot seek)\n");
     return 1;
   }
-  if (Opts.Balanced && Opts.Shards == 0) {
-    std::fprintf(stderr, "error: --balanced requires --shards N\n");
-    return 1;
-  }
   if (!Opts.TraceOut.empty() && !Opts.Stream) {
     // The timeline is exported from the session object, which only the
     // streamed path keeps; the one-shot analyzeTrace returns a result.
@@ -327,8 +313,6 @@ int main(int Argc, char **Argv) {
   if (Opts.Shards > 0) {
     Cfg.Mode = RunMode::VarSharded;
     Cfg.VarShards = Opts.Shards;
-    Cfg.Strategy = Opts.Balanced ? ShardStrategy::FrequencyBalanced
-                                 : ShardStrategy::Modulo;
   } else if (Opts.Window > 0) {
     Cfg.Mode = RunMode::Windowed;
     Cfg.WindowEvents = Opts.Window;

@@ -109,9 +109,6 @@ Status AnalysisConfig::validate() const {
     return Invalid(std::string("VarShards is only meaningful in var-sharded "
                                "mode (mode is ") +
                    runModeName(Mode) + ")");
-  if (Strategy != ShardStrategy::Modulo && Mode != RunMode::VarSharded)
-    return Invalid("a shard strategy other than Modulo requires var-sharded "
-                   "mode");
   if (StreamBatchEvents == 0)
     return Invalid("StreamBatchEvents must be >= 1");
   return Status::success();

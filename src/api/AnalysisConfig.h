@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The single declarative configuration object behind every analysis entry
-/// point: detector selection, run mode, thread count, window size, shard
-/// count and shard strategy are one AnalysisConfig with one validate() that
-/// rejects inconsistent combinations up front with a structured Status,
-/// instead of each entry point silently interpreting its own corner cases.
+/// point: detector selection, run mode, thread count, window size and
+/// shard count are one AnalysisConfig with one validate() that rejects
+/// inconsistent combinations up front with a structured Status, instead
+/// of each entry point silently interpreting its own corner cases.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
 /// FastTrack, Eraser, SyncP) or by custom factory, and selects exactly one
@@ -23,10 +23,10 @@
 ///               are lost by design); sessions dispatch each window onto
 ///               the thread pool as soon as its event range publishes;
 ///   VarSharded  per-variable sharded checks (bit-identical to
-///               Sequential for any shard count), with the shard
-///               assignment strategy selectable; sessions run the
-///               capture clock pass behind ingestion and shard checks on
-///               the published prefix.
+///               Sequential for any shard count; variable x goes to
+///               shard x mod VarShards); sessions run the capture clock
+///               pass behind ingestion and shard checks on the published
+///               prefix.
 ///
 /// Every mode is available both as a one-shot batch run (analyzeTrace)
 /// and as a streaming session (AnalysisSession) — one engine, so the
@@ -38,7 +38,6 @@
 #define RAPID_API_ANALYSISCONFIG_H
 
 #include "detect/DetectorRunner.h"
-#include "detect/ShardedAccessHistory.h"
 #include "support/Status.h"
 
 #include <string>
@@ -87,11 +86,6 @@ struct AnalysisConfig {
   /// VarSharded mode only: per-variable shards per lane (>= 1 there,
   /// 0 elsewhere).
   uint32_t VarShards = 0;
-  /// VarSharded mode only: how variables map to shards. Modulo streams
-  /// shard checks behind the capture pass; FrequencyBalanced needs the
-  /// full capture counts, so in sessions its shard checks start when the
-  /// clock pass retires (reports are bit-identical either way).
-  ShardStrategy Strategy = ShardStrategy::Modulo;
   /// Streaming sessions: max events a consumer takes per batch — the
   /// granularity of partial-report visibility.
   uint64_t StreamBatchEvents = 8192;

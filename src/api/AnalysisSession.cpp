@@ -222,13 +222,7 @@ struct VarShardState {
   uint64_t Partitioned = 0;     ///< Accesses split into WorkLists so far.
   uint64_t CapturedEvents = 0;  ///< Trace events the clock pass covered.
   bool Capturing = false;       ///< Detector accepted beginCapture.
-  bool PlanReady = false;       ///< Plan fixed (modulo: at attach;
-                                ///< frequency-balanced: at capture end).
-  ShardPlan Plan;
-  ShardReplay Replay = ShardReplay::FullHistory;
-  /// Lane-wide replay state for context-bearing detectors (SyncP); owned
-  /// by the lane's detector, which outlives every drain. Null otherwise.
-  const ShardContext *Ctx = nullptr;
+  ShardPlan Plan;               ///< Fixed before the lane starts.
   std::vector<std::unique_ptr<VarShard>> Shards;
   LaneRuntime *Rt = nullptr; ///< Back-pointer to the lane.
   std::vector<uint32_t> ToSchedule; ///< Consumer-only scratch: new drains.
@@ -308,8 +302,7 @@ struct AnalysisSession::Impl {
   bool attachCapture(VarShardState &VS, uint32_t HintThreads,
                      uint32_t HintVars);
   void partitionCaptured(VarShardState &VS, uint64_t Consumed);
-  void finishCapture(VarShardState &VS, uint32_t FinalThreads,
-                     uint32_t FinalVars);
+  void finishCapture(VarShardState &VS);
   void drainVarShard(VarShardState &VS, uint32_t S);
   void scheduleDrains(VarShardState &VS);
   void buildDetectorLocked(LaneRuntime &Rt);
@@ -400,19 +393,15 @@ void AnalysisSession::Impl::laneConsumer(LaneRuntime &Rt, VarShardState *VS) {
         }
       }
     }
-    uint32_t FinalThreads, FinalVars;
     {
       // Zero-event sessions still owe a constructed detector (runDetector
       // on an empty trace constructs, finishes and names one too).
-      // Ingestion is over, so these are the final table sizes.
       std::lock_guard<std::mutex> Lk(M);
       if (!Rt.D)
         buildDetectorLocked(Rt);
-      FinalThreads = Live->numThreads();
-      FinalVars = Live->numVars();
     }
     if (Capturing) {
-      finishCapture(*VS, FinalThreads, FinalVars);
+      finishCapture(*VS);
       return;
     }
     std::lock_guard<std::mutex> G(Rt.SnapM);
@@ -651,15 +640,17 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
 /// Attaches capture to a var-sharded lane's freshly built detector, once
 /// per session: the log, the broadcast table and the shard checkers are
 /// all growable, so \p HintThreads / \p HintVars are sizing hints, not
-/// bounds. Returns false, leaving \p VS untouched, for a detector without
-/// capture support — that lane then walks exactly like a Sequential one.
+/// bounds. The checkers are built before Capturing is set under LogM, so
+/// whoever observes Capturing also sees every checker. Returns false,
+/// leaving \p VS untouched, for a detector without capture support — that
+/// lane then walks exactly like a Sequential one.
 bool AnalysisSession::Impl::attachCapture(VarShardState &VS,
                                           uint32_t HintThreads,
                                           uint32_t HintVars) {
   LaneRuntime &Rt = *VS.Rt;
   auto Log = std::make_unique<AccessLog>(HintThreads);
   ShardReplay Replay;
-  const ShardContext *Ctx;
+  const ShardContext *Ctx; // Owned by the detector, which outlives drains.
   {
     std::lock_guard<std::mutex> G(Rt.SnapM);
     if (!Rt.D->beginCapture(*Log))
@@ -667,26 +658,16 @@ bool AnalysisSession::Impl::attachCapture(VarShardState &VS,
     Replay = Rt.D->shardReplay();
     Ctx = Rt.D->shardContext();
   }
-  const uint32_t NumShards = static_cast<uint32_t>(VS.Shards.size());
-  const bool PlanReady = Cfg.Strategy == ShardStrategy::Modulo;
-  {
-    std::lock_guard<std::mutex> G(VS.LogM);
-    VS.LogHolder = std::move(Log);
-    VS.Log = VS.LogHolder.get();
-    VS.Capturing = true;
-    VS.Replay = Replay;
-    VS.Ctx = Ctx;
-    VS.PlanReady = PlanReady;
-    VS.Plan = ShardPlan(NumShards);
+  for (uint32_t S = 0; S != VS.Plan.NumShards; ++S) {
+    VarShard &Sh = *VS.Shards[S];
+    std::lock_guard<std::mutex> G(Sh.SM);
+    Sh.Checker = std::make_unique<ShardChecker>(
+        Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
   }
-  if (PlanReady) {
-    for (uint32_t S = 0; S != NumShards; ++S) {
-      VarShard &Sh = *VS.Shards[S];
-      std::lock_guard<std::mutex> G(Sh.SM);
-      Sh.Checker = std::make_unique<ShardChecker>(
-          Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
-    }
-  }
+  std::lock_guard<std::mutex> G(VS.LogM);
+  VS.LogHolder = std::move(Log);
+  VS.Log = VS.LogHolder.get();
+  VS.Capturing = true;
   return true;
 }
 
@@ -706,83 +687,36 @@ void AnalysisSession::Impl::partitionCaptured(VarShardState &VS,
     VS.CapturedEvents = Consumed;
     VS.Rt->CapturedAccesses.set(Log.numAccesses());
     VS.Rt->BroadcastClocks.set(Log.clocks().numSnapshots());
-    if (VS.PlanReady) {
-      for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
-        uint32_t S = VS.Plan.shardOf(Log.access(I).Var);
-        VarShard &Sh = *VS.Shards[S];
-        Sh.WorkList.append(static_cast<uint32_t>(I));
-        if (!Sh.Scheduled) {
-          Sh.Scheduled = true;
-          VS.ToSchedule.push_back(S);
-        }
+    for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
+      uint32_t S = VS.Plan.shardOf(Log.access(I).Var);
+      VarShard &Sh = *VS.Shards[S];
+      Sh.WorkList.append(static_cast<uint32_t>(I));
+      if (!Sh.Scheduled) {
+        Sh.Scheduled = true;
+        VS.ToSchedule.push_back(S);
       }
-      VS.Partitioned = CommittedNow;
     }
+    VS.Partitioned = CommittedNow;
   }
   scheduleDrains(VS);
 }
 
 /// The end of a capturing lane, once its clock pass walked the whole
-/// published trace: finish the detector, fix a FrequencyBalanced plan from
-/// the full capture counts (\p FinalVars / \p FinalThreads are the final
-/// table sizes), drain every shard, and merge the findings in trace order
-/// — the only step deferred to finish().
-void AnalysisSession::Impl::finishCapture(VarShardState &VS,
-                                          uint32_t FinalThreads,
-                                          uint32_t FinalVars) {
+/// published trace: finish the detector, drain every shard, and merge the
+/// findings in trace order — the only step deferred to finish().
+void AnalysisSession::Impl::finishCapture(VarShardState &VS) {
   LaneRuntime &Rt = *VS.Rt;
   const uint32_t NumShards = static_cast<uint32_t>(VS.Shards.size());
-  AccessLog &Log = *VS.Log;
   {
     std::lock_guard<std::mutex> G(Rt.SnapM);
     Timer Clock;
     Rt.D->finish();
     Rt.Seconds += Clock.seconds();
   }
-  // The clock pass is over; make sure its entire log is committed
-  // (idempotent when the last chunk already was).
-  const uint64_t Committed = Log.commit();
   {
-    std::lock_guard<std::mutex> G(VS.LogM);
-    if (!VS.PlanReady) {
-      // FrequencyBalanced: the plan is a pure function of the full
-      // capture counts, so it is fixed here — shard checks for this
-      // strategy start once the clock pass retires (the modulo plan
-      // needs no counts and streams all along). Counts are sized to the
-      // final tables, so the plan does not depend on when names were
-      // declared.
-      std::vector<uint64_t> Counts(FinalVars, 0);
-      Log.forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                          uint64_t) {
-        ++Counts[A.Var.value()];
-      });
-      VS.Plan = ShardPlan::balancedByFrequency(NumShards, Counts);
-      VS.PlanReady = true;
-      for (uint32_t S = 0; S != NumShards; ++S) {
-        VarShard &Sh = *VS.Shards[S];
-        std::lock_guard<std::mutex> SG(Sh.SM);
-        Sh.Checker = std::make_unique<ShardChecker>(
-            VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads,
-            VS.Ctx);
-      }
-      Log.forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                          uint64_t I) {
-        VS.Shards[VS.Plan.shardOf(A.Var)]->WorkList.append(
-            static_cast<uint32_t>(I));
-      });
-      VS.Partitioned = Committed;
-    }
-    for (uint32_t S = 0; S != NumShards; ++S) {
-      VarShard &Sh = *VS.Shards[S];
-      if (Sh.Completed != Sh.WorkList.size() && !Sh.Scheduled) {
-        Sh.Scheduled = true;
-        VS.ToSchedule.push_back(S);
-      }
-    }
-  }
-  scheduleDrains(VS);
-  {
-    // Wait for the drains to retire every shard.
+    // Every chunk's partitionCaptured already handed its accesses to a
+    // drain (a drain only retires once its work list is empty, under
+    // LogM), so waiting is all that is left.
     std::unique_lock<std::mutex> G(VS.LogM);
     VS.DrainCV.wait(G, [&] {
       for (auto &Sh : VS.Shards)
@@ -806,10 +740,9 @@ void AnalysisSession::Impl::finishCapture(VarShardState &VS,
       ShardSeconds += Sh.Seconds;
     }
     std::lock_guard<std::mutex> SG(Sh.SM);
-    if (Sh.Checker)
-      PerShard[S] = std::move(Sh.Checker->findings());
+    PerShard[S] = std::move(Sh.Checker->findings());
   }
-  RaceReport Merged = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  RaceReport Merged = mergeInTraceOrder(PerShard);
   std::lock_guard<std::mutex> G(Rt.SnapM);
   Rt.Seconds += ShardSeconds;
   if (!Err.empty())
@@ -911,7 +844,8 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
     for (size_t L = 0; L != Lanes.size(); ++L) {
       auto VS = std::make_unique<VarShardState>();
       VS->Rt = Lanes[L].get();
-      for (uint32_t S = 0; S != std::max<uint32_t>(Cfg.VarShards, 1); ++S)
+      VS->Plan = ShardPlan(std::max<uint32_t>(Cfg.VarShards, 1));
+      for (uint32_t S = 0; S != VS->Plan.NumShards; ++S)
         VS->Shards.push_back(std::make_unique<VarShard>());
       VarStates.push_back(std::move(VS));
     }
@@ -1063,8 +997,6 @@ void AnalysisSession::Impl::snapshotVarShardLane(VarShardState &VS,
       // copied it under SnapM).
       return;
     }
-    if (!VS.PlanReady || !VS.Log)
-      return; // Clock pass only so far: no checked prefix yet.
     Bound = VS.CapturedEvents;
     for (const std::unique_ptr<VarShard> &Sh : VS.Shards) {
       ShardSeconds += Sh->Seconds;
@@ -1077,15 +1009,13 @@ void AnalysisSession::Impl::snapshotVarShardLane(VarShardState &VS,
   for (size_t S = 0; S != VS.Shards.size(); ++S) {
     VarShard &Sh = *VS.Shards[S];
     std::lock_guard<std::mutex> G(Sh.SM);
-    if (!Sh.Checker)
-      return; // Checkers are being built; no checked prefix yet.
     for (const RaceInstance &Inst : Sh.Checker->findings()) {
       if (Inst.LaterIdx >= Bound)
         break; // Findings are ascending in LaterIdx within a shard.
       PerShard[S].push_back(Inst);
     }
   }
-  Lane.Report = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  Lane.Report = mergeInTraceOrder(PerShard);
   Lane.Seconds += ShardSeconds;
 }
 

@@ -8,54 +8,7 @@
 
 #include "vc/Epoch.h"
 
-#include <algorithm>
-#include <numeric>
-
 using namespace rapid;
-
-// ---- ShardPlan --------------------------------------------------------------
-
-ShardPlan ShardPlan::balancedByFrequency(uint32_t NumShards,
-                                         const std::vector<uint64_t> &Counts) {
-  ShardPlan Plan;
-  Plan.NumShards = NumShards == 0 ? 1 : NumShards;
-  const uint32_t NumVars = static_cast<uint32_t>(Counts.size());
-  Plan.Assign.resize(NumVars);
-  Plan.Local.resize(NumVars);
-  Plan.ShardSizes.assign(Plan.NumShards, 0);
-
-  // Longest-processing-time-first: heaviest variables placed first, each
-  // onto the currently lightest shard. Ties break by variable id and by
-  // shard id so the plan is a pure function of the counts.
-  std::vector<uint32_t> Order(NumVars);
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&Counts](uint32_t A, uint32_t B) {
-    if (Counts[A] != Counts[B])
-      return Counts[A] > Counts[B];
-    return A < B;
-  });
-  std::vector<uint64_t> Load(Plan.NumShards, 0);
-  for (uint32_t V : Order) {
-    uint32_t Lightest = 0;
-    for (uint32_t S = 1; S != Plan.NumShards; ++S)
-      if (Load[S] < Load[Lightest])
-        Lightest = S;
-    Plan.Assign[V] = Lightest;
-    Plan.Local[V] = Plan.ShardSizes[Lightest]++;
-    Load[Lightest] += Counts[V];
-  }
-  return Plan;
-}
-
-uint64_t ShardPlan::maxShardLoad(const std::vector<uint64_t> &Counts) const {
-  std::vector<uint64_t> Load(NumShards, 0);
-  for (uint32_t V = 0, E = static_cast<uint32_t>(Counts.size()); V != E; ++V)
-    Load[shardOf(VarId(V))] += Counts[V];
-  uint64_t Max = 0;
-  for (uint64_t L : Load)
-    Max = std::max(Max, L);
-  return Max;
-}
 
 // ---- ClockBroadcast ---------------------------------------------------------
 
@@ -113,25 +66,6 @@ void AccessLog::record(EventIdx Idx, VarId V, ThreadId T, LocId Loc,
   if (Hard)
     A.Hard = Clocks.publishHard(T, *Hard, HardEpoch);
   Accesses.append(A);
-}
-
-// ---- ShardedAccessHistory ---------------------------------------------------
-
-ShardedAccessHistory::ShardedAccessHistory(ShardPlan Plan, uint32_t NumVars,
-                                           uint32_t NumThreads)
-    : Plan(Plan), NumVars(NumVars), NumThreads(NumThreads) {
-  if (this->Plan.NumShards == 0)
-    this->Plan.NumShards = 1;
-  Work.resize(this->Plan.NumShards);
-}
-
-void ShardedAccessHistory::partition(const AccessLog &Log) {
-  for (std::vector<uint32_t> &W : Work)
-    W.clear();
-  Log.forEachAccess(0, Log.numAccesses(), [&](const DeferredAccess &A,
-                                              uint64_t I) {
-    Work[Plan.shardOf(A.Var)].push_back(static_cast<uint32_t>(I));
-  });
 }
 
 namespace {
@@ -248,8 +182,7 @@ private:
 // ---- ShardChecker -----------------------------------------------------------
 
 /// The selected engine: exactly one of the members is live (selected by
-/// Replay at construction), so per-shard memory matches the old one-shot
-/// checkShard.
+/// Replay at construction).
 struct ShardChecker::Impl {
   ShardReplay Replay;
   std::unique_ptr<AccessHistory> History;       ///< FullHistory engine.
@@ -277,7 +210,6 @@ ShardChecker::~ShardChecker() = default;
 
 void ShardChecker::replay(const DeferredAccess &A, VarId Local,
                           const VectorClock &Ce, const VectorClock *Hard) {
-  ++Replayed;
   if (I->Custom) {
     I->Custom->replay(A, Local, Ce, Hard, Out);
     return;
@@ -299,28 +231,7 @@ void ShardChecker::replay(const DeferredAccess &A, VarId Local,
     Out[R].Var = A.Var;
 }
 
-std::vector<RaceInstance>
-ShardedAccessHistory::checkShard(uint32_t S, const AccessLog &Log,
-                                 ShardReplay Replay,
-                                 const ShardContext *Ctx) const {
-  // Private partition: only this shard's variables, addressed by dense
-  // local ids, so per-shard memory is NumVars/NumShards — the histories
-  // genuinely split rather than replicate. One engine serves both the
-  // batch and streaming paths: this is the incremental ShardChecker fed
-  // the full work list in one go.
-  ShardChecker Checker(Replay, Plan.numLocalVars(S, NumVars), NumThreads, Ctx);
-  const ClockBroadcast &Clocks = Log.clocks();
-  for (uint32_t I : Work[S]) {
-    const DeferredAccess &A = Log.access(I);
-    Checker.replay(A, VarId(Plan.localIdOf(A.Var)), Clocks.snapshot(A.Clock),
-                   A.Hard == DeferredAccess::NoClock
-                       ? nullptr
-                       : &Clocks.snapshot(A.Hard));
-  }
-  return std::move(Checker.findings());
-}
-
-RaceReport ShardedAccessHistory::mergeInTraceOrder(
+RaceReport rapid::mergeInTraceOrder(
     const std::vector<std::vector<RaceInstance>> &PerShard) {
   RaceReport Report;
   std::vector<size_t> Cursor(PerShard.size(), 0);

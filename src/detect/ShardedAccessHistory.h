@@ -48,63 +48,27 @@
 
 namespace rapid {
 
-/// How variables are assigned to shards.
-enum class ShardStrategy : uint8_t {
-  /// x mod N: stateless, zero setup cost, balanced when accesses are
-  /// spread evenly over the variable space. The default.
-  Modulo,
-  /// Greedy bin-packing on per-variable access counts (longest-processing-
-  /// time-first): heavier variables are placed first, each onto the
-  /// currently lightest shard. Balances skewed traces — a few hot
-  /// variables no longer pile onto one shard — at the cost of one counting
-  /// pass over the access log.
-  FrequencyBalanced,
-};
-
-/// Assignment of variables to shards. Default-constructed plans use the
-/// modulo strategy: variable x lives in shard x mod NumShards, with dense
-/// per-shard local ids x div NumShards. Table-based plans (see
-/// balancedByFrequency) carry an explicit per-variable assignment instead.
-/// Either way every variable lands in exactly one shard with a dense local
-/// id, which is all the shard/merge machinery relies on — the sharded
-/// report stays bit-identical to the sequential one under any plan.
+/// Assignment of variables to shards: variable x lives in shard
+/// x mod NumShards, with dense per-shard local id x div NumShards. Every
+/// variable lands in exactly one shard with a dense local id, which is all
+/// the shard/merge machinery relies on. Any such map leaves the sharded
+/// report bit-identical to the sequential one (§2.1: only same-variable
+/// accesses conflict); the map only decides how load spreads.
 struct ShardPlan {
   ShardPlan() = default;
   explicit ShardPlan(uint32_t NumShards) : NumShards(NumShards) {}
 
   uint32_t NumShards = 1;
-  /// Table mode (empty = modulo): Assign[x] = shard of x, Local[x] = dense
-  /// local id of x within its shard, ShardSizes[s] = variables in shard s.
-  std::vector<uint32_t> Assign;
-  std::vector<uint32_t> Local;
-  std::vector<uint32_t> ShardSizes;
 
-  uint32_t shardOf(VarId V) const {
-    return Assign.empty() ? V.value() % NumShards : Assign[V.value()];
-  }
-  uint32_t localIdOf(VarId V) const {
-    return Assign.empty() ? V.value() / NumShards : Local[V.value()];
-  }
+  uint32_t shardOf(VarId V) const { return V.value() % NumShards; }
+  uint32_t localIdOf(VarId V) const { return V.value() / NumShards; }
 
   /// Number of variables out of \p NumVars that land in \p Shard.
   uint32_t numLocalVars(uint32_t Shard, uint32_t NumVars) const {
-    if (!Assign.empty())
-      return ShardSizes[Shard];
     if (Shard >= NumVars)
       return 0; // The smallest candidate, x = Shard, is already out of range.
     return (NumVars - Shard - 1) / NumShards + 1;
   }
-
-  /// Builds a frequency-balanced plan over \p Counts (accesses per
-  /// variable; Counts.size() is the variable count). Deterministic:
-  /// variables are placed heaviest-first (ties by id) onto the lightest
-  /// shard (ties by shard id), so equal inputs yield equal plans.
-  static ShardPlan balancedByFrequency(uint32_t NumShards,
-                                       const std::vector<uint64_t> &Counts);
-
-  /// The heaviest shard's total access count under this plan — the
-  /// balance metric the frequency strategy minimizes greedily.
-  uint64_t maxShardLoad(const std::vector<uint64_t> &Counts) const;
 };
 
 /// One deferred read/write: everything its race check needs, with the
@@ -189,7 +153,7 @@ private:
 /// while shard drains read already-committed entries in place — no lock
 /// around the log, no copy-out per drain. commit() publishes the appended
 /// prefix (snapshots first, then accesses, so a committed access's clock
-/// indices always resolve); batch callers commit once after capture ends.
+/// indices always resolve).
 class AccessLog {
 public:
   explicit AccessLog(uint32_t NumThreads) : Clocks(NumThreads) {}
@@ -211,12 +175,6 @@ public:
   /// In-place reference to access \p I, stable for the log's lifetime.
   const DeferredAccess &access(uint64_t I) const { return Accesses[I]; }
 
-  /// Applies Fn(access, index) over [From, To).
-  template <typename Fn> void forEachAccess(uint64_t From, uint64_t To,
-                                            Fn &&F) const {
-    Accesses.forRange(From, To, std::forward<Fn>(F));
-  }
-
   /// Publishes everything appended so far to concurrent readers:
   /// snapshots, then accesses. Returns the committed access count.
   uint64_t commit() {
@@ -226,9 +184,6 @@ public:
     return N;
   }
 
-  /// Accesses visible to concurrent readers (last commit()).
-  uint64_t committedAccesses() const { return Accesses.published(); }
-
   const ClockBroadcast &clocks() const { return Clocks; }
 
 private:
@@ -236,16 +191,14 @@ private:
   ClockBroadcast Clocks;
 };
 
-/// Incremental replay of ONE shard's deferred checks — the streaming form
-/// of ShardedAccessHistory::checkShard for consumers that publish AccessLog
+/// Incremental replay of ONE shard's deferred checks, fed AccessLog
 /// prefixes while the capture pass is still appending (the session's
-/// streamed var-sharded mode). Accesses must arrive in trace order and
-/// pre-mapped to the shard (caller applies the ShardPlan); clocks are
-/// passed in explicitly so the caller can hand over stable copies instead
-/// of references into a concurrently growing broadcast table. Findings
-/// accumulate in discovery order; feeding a full shard's work list
-/// reproduces checkShard's output exactly (checkShard is implemented on
-/// top of this class).
+/// var-sharded mode). Accesses must arrive in trace order and pre-mapped
+/// to the shard (caller applies the ShardPlan); clocks are passed in
+/// explicitly, resolved by the caller from the broadcast table. The
+/// shard's history is private and holds only its variables, addressed by
+/// dense local ids, so per-shard memory is NumVars/NumShards. Findings
+/// accumulate in discovery order.
 class ShardChecker {
 public:
   /// \p Replay selects the engine (must match the capturing detector's
@@ -272,55 +225,18 @@ public:
   std::vector<RaceInstance> &findings() { return Out; }
   const std::vector<RaceInstance> &findings() const { return Out; }
 
-  /// Deferred accesses replayed so far (per-shard drain telemetry).
-  uint64_t numReplayed() const { return Replayed; }
-
 private:
   struct Impl;
   std::unique_ptr<Impl> I;
   std::vector<RaceInstance> Out;
-  uint64_t Replayed = 0;
 };
 
-/// Partitions one lane's access history across N shards and replays the
-/// deferred checks. partition() runs once (sequentially) after capture;
-/// checkShard() is safe to call concurrently for distinct shards (each
-/// builds a private history over only its variables); the merge restores
-/// parent-trace order.
-class ShardedAccessHistory {
-public:
-  ShardedAccessHistory(ShardPlan Plan, uint32_t NumVars, uint32_t NumThreads);
-
-  uint32_t numShards() const { return Plan.NumShards; }
-
-  /// Splits \p Log's accesses into per-shard work lists, keeping trace
-  /// order within each shard.
-  void partition(const AccessLog &Log);
-
-  /// Replays shard \p S's deferred checks and returns its races in trace
-  /// order. Requires partition() to have run; const and data-parallel
-  /// across distinct shards. \p Replay selects the check engine: the
-  /// shared full-history replay (HB, WCP), FastTrack's epoch replay, or a
-  /// context-bearing replay built from \p Ctx (SyncP) — it must match the
-  /// capturing detector's shardReplay() (and shardContext()).
-  std::vector<RaceInstance>
-  checkShard(uint32_t S, const AccessLog &Log,
-             ShardReplay Replay = ShardReplay::FullHistory,
-             const ShardContext *Ctx = nullptr) const;
-
-  /// Interleaves per-shard findings back into parent-trace order and
-  /// accumulates them into a report. Each access event belongs to exactly
-  /// one shard, so the interleaving is unique: the result is bit-identical
-  /// to the sequential detector's report for any shard count.
-  static RaceReport
-  mergeInTraceOrder(const std::vector<std::vector<RaceInstance>> &PerShard);
-
-private:
-  ShardPlan Plan;
-  uint32_t NumVars;
-  uint32_t NumThreads;
-  std::vector<std::vector<uint32_t>> Work; ///< Per shard: access indices.
-};
+/// Interleaves per-shard findings back into parent-trace order and
+/// accumulates them into a report. Each access event belongs to exactly one
+/// shard, so the interleaving is unique: the result is bit-identical to the
+/// sequential detector's report for any shard count.
+RaceReport
+mergeInTraceOrder(const std::vector<std::vector<RaceInstance>> &PerShard);
 
 } // namespace rapid
 

@@ -76,14 +76,6 @@ public:
   /// True when the file is fully consumed (or an error stopped progress).
   bool done() const { return Done || !ok(); }
 
-  /// True once every id that any future event may reference is already
-  /// interned in current()'s tables. Binary headers carry all name tables
-  /// up front, so this holds right after the header parses; text traces
-  /// intern lazily, so it only holds at the end. The streaming session
-  /// keys overlapped analysis off this: stable tables mean detectors can
-  /// be constructed against a growing trace without ever restarting.
-  bool tablesComplete() const { return Done || (Binary && HeaderParsed); }
-
   /// Parses the next batch of at most MaxEventsPerChunk events, appending
   /// them to the trace under construction. Returns the number of events
   /// appended; 0 means EOF or error.

@@ -89,6 +89,9 @@ void stageError(std::string &Out, const Status &S,
   wireAppendFrame(Out, WireFrame::WireError, wireErrorPayload(E));
 }
 
+/// Bytes per socket read.
+constexpr size_t ReadChunkBytes = 64 * 1024;
+
 /// The machine-readable code a sticky ingest status maps to.
 WireErrorCode wireCodeFor(const Status &S) {
   switch (S.Code) {
@@ -117,7 +120,7 @@ uint64_t nowMs() {
 
 struct RaceServer::Impl {
   explicit Impl(RaceServerConfig C)
-      : Cfg(std::move(C)), Reg(Cfg.Metrics), Scope(&Reg, "serve."),
+      : Cfg(std::move(C)), Scope(&Reg, "serve."),
         Pool(Cfg.IngestThreads), TokenRng(nowMs() ^ 0x9e3779b97f4a7c15ull) {
     Accepted = Scope.counter("accepted");
     FinishedC = Scope.counter("finished");
@@ -188,7 +191,7 @@ struct RaceServer::Impl {
   };
 
   RaceServerConfig Cfg;
-  MetricsRegistry Reg;
+  MetricsRegistry Reg; ///< Always enabled (serve.* metrics).
   MetricsScope Scope;
   ThreadPool Pool;
   Prng TokenRng;
@@ -352,7 +355,7 @@ struct RaceServer::Impl {
   void ioLoop() {
     std::vector<pollfd> Fds;
     std::vector<std::shared_ptr<Conn>> Polled;
-    std::vector<char> Buf(Cfg.ReadChunkBytes ? Cfg.ReadChunkBytes : 4096);
+    std::vector<char> Buf(ReadChunkBytes);
     uint64_t LastTickMs = nowMs();
     scheduleHousekeeping();
     while (!Stopping.load(std::memory_order_relaxed)) {

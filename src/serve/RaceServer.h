@@ -83,12 +83,9 @@ struct RaceServerConfig {
   ServeBudgets Budgets;
   /// Workers in the shared ingest pool (0 = hardware concurrency).
   unsigned IngestThreads = 2;
-  /// Bytes per socket read.
-  size_t ReadChunkBytes = 64 * 1024;
   /// Poll tick; while any connection is parked the IO thread rechecks
   /// parked connections every millisecond instead.
   int PollTimeoutMs = 20;
-  bool Metrics = true;
 
   // -- Fault tolerance / degradation knobs -----------------------------------
 

@@ -148,10 +148,6 @@ void WireIngestor::apply(const WireFrameView &F) {
   case WireFrame::TimelineQuery:
   case WireFrame::ListSessions:
   case WireFrame::FinalQuery:
-    if (OnControl) {
-      OnControl(F);
-      return;
-    }
     freeze(StatusCode::ValidationError,
            std::string("control frame ") + wireFrameName(F.Type) +
                " on a data-only feed");

@@ -13,8 +13,9 @@
 /// ValidationError — every later data frame is ignored, never
 /// half-applied — while the session's already-analyzed prefix stays
 /// queryable and finishable. Control frames (queries) are not handled
-/// here; they are handed to the caller, because only the server knows
-/// where replies go.
+/// here: the server answers them before a frame is applied, because only
+/// it knows where replies go, and one that reaches the ingestor is a
+/// protocol error.
 ///
 /// Single-producer like the session itself: one thread calls ingest()/
 /// eof() per ingestor.
@@ -28,7 +29,6 @@
 #include "support/Status.h"
 #include "trace/Event.h"
 
-#include <functional>
 #include <vector>
 
 namespace rapid {
@@ -36,15 +36,11 @@ namespace rapid {
 class AnalysisSession;
 class FeedSource;
 
-/// Applies a wire frame stream to a session.
+/// Applies a wire frame stream to a session. Control frames
+/// (PartialQuery/TimelineQuery/ListSessions/FinalQuery) freeze the stream.
 class WireIngestor {
 public:
-  /// \p OnControl receives PartialQuery/TimelineQuery/ListSessions/
-  /// FinalQuery frames; null treats them as protocol errors.
-  using ControlFn = std::function<void(const WireFrameView &)>;
-
-  explicit WireIngestor(AnalysisSession &S, ControlFn OnControl = nullptr)
-      : S(S), OnControl(std::move(OnControl)) {}
+  explicit WireIngestor(AnalysisSession &S) : S(S) {}
 
   /// Decodes and applies every complete frame in \p Data. Safe to call
   /// after a failure (bytes are discarded).
@@ -94,7 +90,6 @@ private:
   void freeze(StatusCode Code, std::string Message);
 
   AnalysisSession &S;
-  ControlFn OnControl;
   FrameDecoder Dec;
   std::vector<Event> Batch; ///< Reused decode buffer.
   Status Sticky;

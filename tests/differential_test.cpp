@@ -35,7 +35,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -66,13 +65,11 @@ using testutil::expectSameReport;
 /// One var-sharded analyzeTrace run of \p Make over \p T on two pool
 /// workers; returns its single lane.
 LaneReport runSharded(const DetectorFactory &Make, const Trace &T,
-                      uint32_t NumShards,
-                      ShardStrategy Strategy = ShardStrategy::Modulo) {
+                      uint32_t NumShards) {
   AnalysisConfig Cfg;
   Cfg.addDetector(Make);
   Cfg.Mode = RunMode::VarSharded;
   Cfg.VarShards = NumShards;
-  Cfg.Strategy = Strategy;
   Cfg.Threads = 2;
   AnalysisResult R = analyzeTrace(Cfg, T);
   EXPECT_TRUE(R.Overall.ok()) << R.Overall.str();
@@ -189,27 +186,6 @@ TEST_P(DifferentialFuzzTest, AdversarialMatrixMatchesSequentialBitForBit) {
                                        std::to_string(Seed));
 }
 
-// The frequency-balanced shard plan must be invisible in results: same
-// bit-for-bit contract as the modulo plan, via the config's strategy.
-TEST_P(DifferentialFuzzTest, BalancedStrategyMatchesSequentialBitForBit) {
-  Trace T = randomTrace(fuzzParams(GetParam() ^ 0x1234, GetParam() % 2 == 0));
-  std::vector<std::pair<const char *, DetectorFactory>> Factories = {
-      {"HB", [](const Trace &F) { return std::make_unique<HbDetector>(F); }},
-      {"FastTrack",
-       [](const Trace &F) { return std::make_unique<FastTrackDetector>(F); }},
-  };
-  for (auto &[Name, Make] : Factories) {
-    std::unique_ptr<Detector> D = Make(T);
-    RunResult Want = runDetector(*D, T);
-    LaneReport Got =
-        runSharded(Make, T, 4, ShardStrategy::FrequencyBalanced);
-    ASSERT_TRUE(Got.LaneStatus.ok()) << Got.LaneStatus.str();
-    expectSameReport(Got.Report, Want.Report, T,
-                     std::string("balanced/") + Name + " seed " +
-                         std::to_string(GetParam()));
-  }
-}
-
 // ---- Oracle cross-check -----------------------------------------------------
 
 // On small traces the declarative closure is affordable: every race the
@@ -257,51 +233,6 @@ TEST(ShardPlanTest, PartitionCoversEveryVariableExactlyOnce) {
   }
 }
 
-TEST(ShardPlanTest, BalancedPlanCoversEveryVariableWithDenseLocalIds) {
-  // Same partition invariants as the modulo plan, on skewed counts: every
-  // variable in exactly one shard, local ids dense per shard.
-  std::vector<uint64_t> Counts = {1000, 1, 1, 1, 999, 0, 5, 5, 5, 5, 2, 0};
-  for (uint32_t NumShards : {1u, 2u, 4u, 7u}) {
-    ShardPlan Plan = ShardPlan::balancedByFrequency(NumShards, Counts);
-    EXPECT_EQ(Plan.NumShards, NumShards);
-    uint32_t Total = 0;
-    for (uint32_t S = 0; S != NumShards; ++S)
-      Total += Plan.numLocalVars(S, Counts.size());
-    EXPECT_EQ(Total, Counts.size());
-    std::vector<std::set<uint32_t>> Locals(NumShards);
-    for (uint32_t V = 0; V != Counts.size(); ++V) {
-      uint32_t S = Plan.shardOf(VarId(V));
-      ASSERT_LT(S, NumShards);
-      uint32_t Local = Plan.localIdOf(VarId(V));
-      EXPECT_LT(Local, Plan.numLocalVars(S, Counts.size()));
-      EXPECT_TRUE(Locals[S].insert(Local).second)
-          << "local id " << Local << " reused in shard " << S;
-    }
-  }
-}
-
-TEST(ShardPlanTest, BalancedPlanBeatsModuloOnSkewedCounts) {
-  // Adversarial skew for x mod N: the heavy hitters all share a residue
-  // class, so the modulo plan piles them onto one shard. The greedy
-  // frequency plan must spread them, and can never do worse than modulo's
-  // hottest shard... nor better than the single heaviest variable.
-  const uint32_t NumShards = 4;
-  std::vector<uint64_t> Counts(32, 1);
-  for (uint32_t V = 0; V < 32; V += NumShards)
-    Counts[V] = 1000; // All multiples of 4 → modulo shard 0.
-  ShardPlan Modulo{NumShards};
-  ShardPlan Balanced = ShardPlan::balancedByFrequency(NumShards, Counts);
-  uint64_t ModuloMax = Modulo.maxShardLoad(Counts);
-  uint64_t BalancedMax = Balanced.maxShardLoad(Counts);
-  EXPECT_EQ(ModuloMax, 8 * 1000u);
-  EXPECT_LT(BalancedMax, ModuloMax / 3) << "skew not balanced";
-  EXPECT_GE(BalancedMax, 2 * 1000u) << "8 heavy vars on 4 shards";
-  // Deterministic: same counts, same plan.
-  ShardPlan Again = ShardPlan::balancedByFrequency(NumShards, Counts);
-  EXPECT_EQ(Balanced.Assign, Again.Assign);
-  EXPECT_EQ(Balanced.Local, Again.Local);
-}
-
 TEST(ClockBroadcastTest, ConsecutiveAccessesShareSnapshots) {
   // A single-threaded run of reads/writes never changes the HB clock, so
   // the broadcast must publish exactly one snapshot however many accesses
@@ -336,7 +267,7 @@ TEST(ShardedAccessHistoryTest, MergeRestoresTraceOrder) {
   PerShard[0] = {mk(1, 5), mk(2, 9)};
   PerShard[1] = {mk(0, 3), mk(6, 12)};
   PerShard[2] = {mk(4, 7)};
-  RaceReport R = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  RaceReport R = mergeInTraceOrder(PerShard);
   ASSERT_EQ(R.instances().size(), 5u);
   EventIdx Prev = 0;
   for (const RaceInstance &I : R.instances()) {

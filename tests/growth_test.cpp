@@ -183,11 +183,8 @@ AnalysisConfig growthConfig(RunMode Mode, uint64_t Seed) {
   Cfg.Threads = 1 + Seed % 3;
   if (Mode == RunMode::Windowed)
     Cfg.WindowEvents = 4 + Seed % 41;
-  if (Mode == RunMode::VarSharded) {
+  if (Mode == RunMode::VarSharded)
     Cfg.VarShards = 1 + Seed % 6;
-    Cfg.Strategy = Seed % 2 ? ShardStrategy::FrequencyBalanced
-                            : ShardStrategy::Modulo;
-  }
   return Cfg;
 }
 

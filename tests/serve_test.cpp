@@ -405,6 +405,25 @@ TEST_F(WireIngestorTest, UnknownFrameTypeAndOversizedLengthFreeze) {
   }
 }
 
+TEST_F(WireIngestorTest, ControlFramesFreezeADataOnlyFeed) {
+  // The server answers queries before frames reach an ingestor; one that
+  // gets this far (a plain feed source) is a protocol error, never a
+  // silently dropped frame.
+  for (WireFrame Type : {WireFrame::PartialQuery, WireFrame::TimelineQuery,
+                         WireFrame::ListSessions, WireFrame::FinalQuery}) {
+    AnalysisSession S2(hbWcpConfig());
+    WireIngestor I2(S2);
+    std::string Bytes = wireHelloFrame() + declareOneThread();
+    wireAppendFrame(Bytes, Type, "");
+    I2.ingest(Bytes.data(), Bytes.size());
+    EXPECT_EQ(I2.status().Code, StatusCode::ValidationError)
+        << wireFrameName(Type);
+    EXPECT_EQ(I2.status().Message, std::string("control frame ") +
+                                       wireFrameName(Type) +
+                                       " on a data-only feed");
+  }
+}
+
 TEST_F(WireIngestorTest, TruncationAtEofFreezesButPrefixSurvives) {
   Trace T = makeWorkload(workloadSpec("mergesort"));
   std::string Bytes = wireHelloFrame() + encodeTraceFrames(T, 64);
