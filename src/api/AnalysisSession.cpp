@@ -9,10 +9,10 @@
 // pointers never invalidated), publishing with one atomic watermark store.
 // Consumers read the published prefix *in place* — no lock on the hot
 // path, no per-batch copy — and park on the store's eventcount when they
-// catch up with the producer. The session mutex M now guards only the
-// trace/id tables, validation and detector construction; it is never taken
-// on a consumer's per-event path. All per-lane state shared with
-// partialResult() sits behind a per-lane snapshot mutex.
+// catch up with the producer. Every detector (and the windowed builder's
+// splitter) is built in start(), before any consumer or feed exists, so
+// no consumer ever takes the session mutex M. All per-lane state shared
+// with partialResult() sits behind a per-lane snapshot mutex.
 //
 // This is the repo's one analysis engine: analyzeTrace() is a session
 // whose store adopts the caller's complete trace in place (adoptTrace), so
@@ -44,15 +44,18 @@
 // tables keeps analyzing bit-for-bit with one built against the final
 // tables; no lane ever rebuilds or replays.
 //
-// Table visibility: the producer interns ids and validates under M
-// *before* appending to the store (publishLocked runs with M held), so a
-// consumer that observed watermark W and then takes M to construct its
-// detector sees id tables at least as fresh as every event below W.
+// Table visibility: consumers never read the id tables. Detectors and the
+// window splitter are built against the tables that exist at start() (empty
+// for a streaming session, complete for an adopted trace) and grow on
+// first touch, so the producer parses, interns, validates and publishes
+// without a lock: it is the trace's only writer, and the store is SPMC.
 //
-// Lock order. The session mutex M nests SnapM inside (M → SnapM). The
-// var-sharded lane log mutex LogM also nests SnapM (LogM → SnapM). Shard
-// mutexes (SM), window-epoch mutexes (EM) and the store's internal wake
-// mutex are leaves. M is never held together with LogM/SM/EM.
+// Lock order. M guards SessionStatus, IngestSeconds, Finished/Ingested and
+// the declare* tables; it is taken briefly and never across a chunk, and
+// only callers of the public surface take it — never a consumer. It nests
+// nothing. The var-sharded lane log mutex LogM nests SnapM (LogM → SnapM).
+// Shard mutexes (SM), window-epoch mutexes (EM) and the store's internal
+// wake mutex are leaves.
 //
 //===----------------------------------------------------------------------===//
 
@@ -92,10 +95,10 @@ uint64_t toNs(double Seconds) {
 constexpr uint64_t DrainBatch = 4096;
 
 /// Locks the deferred \p Lk, charging acquisition time to \p WaitNs when
-/// metrics are enabled — the producer-side table/validation-lock probe
-/// (consumers no longer take the session lock per batch; their only wait
-/// is the store park, charged to *.park_ns). The disabled path is the
-/// plain lock: no clock reads.
+/// metrics are enabled — the producer's session-lock probe (consumers
+/// never take the session lock; their only wait is the store park,
+/// charged to *.park_ns). The disabled path is the plain lock: no clock
+/// reads.
 void lockCharged(std::unique_lock<std::mutex> &Lk, Counter WaitNs) {
   if (WaitNs.enabled()) {
     uint64_t T0 = obsNowNs();
@@ -110,8 +113,9 @@ void lockCharged(std::unique_lock<std::mutex> &Lk, Counter WaitNs) {
 
 /// Per-lane runtime shared between its consumer thread and
 /// partialResult()/finish(). Fields below SnapM are guarded by it; the
-/// detector pointer is owned by the consumer but snapshot-read (report
-/// copy, name) under SnapM as well.
+/// detector is built in start() (null only for a lane whose factory
+/// threw), driven by the consumer and snapshot-read (report copy, name)
+/// under SnapM as well.
 struct LaneRuntime {
   std::string Label;    ///< Config name override ("" = detector's name()).
   std::string Fallback; ///< Kind name, for labeling failed lanes.
@@ -119,7 +123,7 @@ struct LaneRuntime {
 
   std::mutex SnapM;
   std::unique_ptr<Detector> D;
-  std::string Name;      ///< Resolved once the detector first exists.
+  std::string Name;      ///< Resolved when the detector is built.
   RaceReport Final;      ///< Set by the consumer at drain time.
   Status LaneStatus;
   /// Events processed. Written under SnapM, but atomic so progress() can
@@ -146,6 +150,7 @@ struct LaneRuntime {
   Gauge BroadcastClocks;   ///< Var-sharded: distinct clock snapshots.
   HighWater BatchEventsPeak; ///< Largest batch copied.
   HighWater LagEventsPeak;   ///< Peak published-minus-consumed lag.
+  Gauge FirstConsumeDelayNs; ///< First publish → lane's first batch.
   uint32_t Track = TraceRecorder::NoTrack;
 };
 
@@ -236,16 +241,24 @@ struct AnalysisSession::Impl {
   Timer Wall;
   double IngestSeconds = 0;
 
-  // Trace / table state (guarded by M). Publication itself lives in
-  // Store: the producer mirrors the validated prefix into it under M and
-  // publishes by watermark; consumers read the store lock-free and only
-  // take M to construct detectors against the id tables.
+  /// Guards SessionStatus, IngestSeconds, Finished/Ingested and the
+  /// declare* tables of Owned. Consumers never take it.
   std::mutex M;
+  /// The trace and everything below it up to Validated are written by the
+  /// producer only, without M: publication lives in Store, which the
+  /// producer appends to and publishes by watermark while consumers read
+  /// it lock-free.
   Trace Owned;
   /// Points into the reader during feedFile, and at the caller's trace
   /// in an analyzeTrace session.
   const Trace *Live = &Owned;
   EventStore Store;           ///< Published events; watermark == analyzable.
+  /// Events appended (Live->size()), release-stored by the producer so
+  /// progress()/eventsFed() read it without M.
+  std::atomic<uint64_t> Fed{0};
+  /// obsNowNs() of the first publication; written once, before the
+  /// watermark store that makes it visible to the lanes. Metrics only.
+  uint64_t FirstPublishNs = 0;
   /// Producer stores seq_cst then Store.wakeAll(); consumer stop
   /// predicates load seq_cst (the store's Dekker handshake, so the last
   /// wake cannot be lost).
@@ -262,7 +275,9 @@ struct AnalysisSession::Impl {
 
   std::vector<std::unique_ptr<LaneRuntime>> Lanes;
   std::vector<std::unique_ptr<VarShardState>> VarStates; ///< VarSharded only.
-  std::shared_ptr<WindowEpoch> WinEpoch; ///< Windowed only; ptr under M.
+  std::shared_ptr<WindowEpoch> WinEpoch; ///< Windowed only; set in start().
+  /// Windowed only: the builder's splitter, built in start().
+  std::unique_ptr<IncrementalWindowSplitter> Splitter;
   uint64_t FinalNumWindows = 0;          ///< Set at windowed finalize.
   /// Windowed only: the builder's consumed watermark. LaneRuntime::
   /// Consumed is only written at finalize in this mode (window tasks
@@ -270,6 +285,7 @@ struct AnalysisSession::Impl {
   /// a parked-on-lag serving client would never resume.
   std::atomic<uint64_t> WinBuilt{0};
   std::vector<std::thread> Consumers;
+  unsigned NumConsumers = 0; ///< Consumers.size(), fixed in start().
 
   // ---- Observability (obs/) -------------------------------------------------
   // The registry exists for every session (disabled registries hand out
@@ -278,7 +294,7 @@ struct AnalysisSession::Impl {
   std::unique_ptr<MetricsRegistry> Reg;
   std::unique_ptr<TraceRecorder> Rec;
   Counter IngestParseNs;    ///< feedFile: chunk parse time.
-  Counter IngestLockWaitNs; ///< Producer time acquiring the session lock.
+  Counter IngestLockWaitNs; ///< Producer time acquiring the session mutex.
   Counter IngestValidateNs; ///< §2.1 streaming validation time.
   Counter PublishBatches;
   Gauge PublishedGauge;     ///< The published watermark.
@@ -295,45 +311,54 @@ struct AnalysisSession::Impl {
 
   void start(const Trace *Adopted);
   void adoptTrace(const Trace &T);
+  void buildLane(LaneRuntime &Rt, VarShardState *VS);
   void laneConsumer(LaneRuntime &Rt, VarShardState *VS);
   void windowedConsumer();
   void dispatchWindow(const std::shared_ptr<WindowEpoch> &Ep, TraceWindow &&W);
   void finalizeWindowedLanes(WindowEpoch &Ep);
-  bool attachCapture(VarShardState &VS, uint32_t HintThreads,
-                     uint32_t HintVars);
+  void attachCapture(VarShardState &VS);
   void partitionCaptured(VarShardState &VS, uint64_t Consumed);
   void finishCapture(VarShardState &VS);
   void drainVarShard(VarShardState &VS, uint32_t S);
   void scheduleDrains(VarShardState &VS);
-  void buildDetectorLocked(LaneRuntime &Rt);
   void registerObservability();
   void stopConsumers();
   Status ingestGate();
-  bool validateNewLocked();
-  bool validateNewLockedInner();
-  void publishLocked();
+  bool validateNew();
+  bool validateNewInner();
+  void publishNew();
+  void addIngestSeconds(double Seconds);
   AnalysisResult snapshotLanes(bool Partial);
   void snapshotWindowedLane(size_t L, LaneReport &Lane);
   void snapshotVarShardLane(VarShardState &VS, LaneReport &Lane);
 };
 
-/// Builds \p Rt's detector against the current tables. Caller holds M;
-/// takes SnapM (M → SnapM is the session's one lock order).
-void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
-  std::lock_guard<std::mutex> G(Rt.SnapM);
-  Rt.D = Rt.Make(*Live);
-  Rt.Name = Rt.Label.empty() ? Rt.D->name() : Rt.Label;
+/// Builds \p Rt's detector against the tables that exist now and, for a
+/// var-sharded lane (\p VS set), attaches capture. Runs in start(), before
+/// any consumer or feed exists, so it takes no session lock: growable
+/// detector state admits every id interned later, bit-for-bit with a
+/// detector built against the final tables (see the header comment). A
+/// factory or capture hook that throws fails this lane alone (failLane);
+/// its consumer then has nothing to run.
+void AnalysisSession::Impl::buildLane(LaneRuntime &Rt, VarShardState *VS) {
+  std::string Err;
+  const bool Ok = guardedTask(Err, [&] {
+    Rt.D = Rt.Make(*Live);
+    Rt.Name = Rt.Label.empty() ? Rt.D->name() : Rt.Label;
+    if (VS)
+      attachCapture(*VS);
+  });
+  if (!Ok) {
+    Rt.D.reset();
+    failLane(Rt, std::move(Err));
+  }
 }
 
 /// One detector lane, in Sequential and VarSharded mode alike: wait for
-/// the watermark, then run the detector over the published range *in
-/// place* — no session lock, no batch copy. Processing is chunked
-/// (Cfg.StreamBatchEvents) so SnapM is released regularly for
-/// partialResult(). The detector is built once, against whatever id
-/// tables exist when the lane first has work (taking M only for that one
-/// construction); growable detector state admits ids declared later, so
-/// table growth never restarts the lane (bit-for-bit with runDetector; see
-/// the header comment).
+/// the watermark, then run the detector built in start() over the
+/// published range *in place* — no session lock, no batch copy.
+/// Processing is chunked (Cfg.StreamBatchEvents) so SnapM is released
+/// regularly for partialResult().
 ///
 /// A var-sharded lane (\p VS set) whose detector supports capture runs the
 /// same walk as its clock pass: race checks are deferred into the lane's
@@ -343,9 +368,11 @@ void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
 /// AccessLog, no LogM — and neither does a detector without capture
 /// support. Any exception fails this lane alone (failLane).
 void AnalysisSession::Impl::laneConsumer(LaneRuntime &Rt, VarShardState *VS) {
+  if (!Rt.D)
+    return; // buildLane already failed the lane.
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
+  const bool Capturing = VS && VS->Capturing;
   uint64_t Consumed = 0;
-  bool Capturing = false;
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
@@ -355,16 +382,8 @@ void AnalysisSession::Impl::laneConsumer(LaneRuntime &Rt, VarShardState *VS) {
       const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
       if (To == Consumed)
         break; // Stopped and fully drained.
-      if (!Rt.D) {
-        uint32_t HintThreads, HintVars;
-        {
-          std::lock_guard<std::mutex> Lk(M);
-          buildDetectorLocked(Rt);
-          HintThreads = Live->numThreads();
-          HintVars = Live->numVars();
-        }
-        Capturing = VS && attachCapture(*VS, HintThreads, HintVars);
-      }
+      if (Consumed == 0 && Rt.FirstConsumeDelayNs.enabled())
+        Rt.FirstConsumeDelayNs.set(obsNowNs() - FirstPublishNs);
       while (Consumed != To) {
         const uint64_t From = Consumed;
         const uint64_t End = std::min(To, From + Batch);
@@ -392,13 +411,6 @@ void AnalysisSession::Impl::laneConsumer(LaneRuntime &Rt, VarShardState *VS) {
           Rec->counter("lag:" + Rt.Fallback, Rec->nowUs(), To - End);
         }
       }
-    }
-    {
-      // Zero-event sessions still owe a constructed detector (runDetector
-      // on an empty trace constructs, finishes and names one too).
-      std::lock_guard<std::mutex> Lk(M);
-      if (!Rt.D)
-        buildDetectorLocked(Rt);
     }
     if (Capturing) {
       finishCapture(*VS);
@@ -509,15 +521,15 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
 }
 
 /// The windowed mode's one consumer: replays the published prefix through
-/// an incremental window splitter and dispatches each completed window the
+/// the incremental window splitter and dispatches each completed window the
 /// moment its last event publishes — no per-window global state, so
-/// analysis starts while ingestion is still appending. The splitter and
-/// the per-window detectors tolerate ids beyond the tables they were
-/// built against (growable state), so table growth never re-cuts windows.
+/// analysis starts while ingestion is still appending. The splitter (built
+/// in start()) and the per-window detectors tolerate ids beyond the tables
+/// they were built against (growable state), so table growth never re-cuts
+/// windows.
 void AnalysisSession::Impl::windowedConsumer() {
   uint64_t Consumed = 0;
-  std::shared_ptr<WindowEpoch> Ep;
-  std::unique_ptr<IncrementalWindowSplitter> Split;
+  const std::shared_ptr<WindowEpoch> &Ep = WinEpoch;
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
@@ -526,20 +538,10 @@ void AnalysisSession::Impl::windowedConsumer() {
     for (;;) {
       const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs,
                                               Stopped);
-      if (!Ep) {
-        // First wake: fix the epoch and the splitter. Under M so the
-        // splitter's table copy is at least as fresh as every published
-        // event it will see (publication happens with M held).
-        std::lock_guard<std::mutex> Lk(M);
-        Ep = std::make_shared<WindowEpoch>();
-        WinEpoch = Ep;
-        Split = std::make_unique<IncrementalWindowSplitter>(*Live,
-                                                            Cfg.WindowEvents);
-      }
       if (To != Consumed) {
         int64_t SpanStart = Rec ? Rec->nowUs() : 0;
         Store.forRange(Consumed, To, [&](const Event &E, uint64_t I) {
-          if (std::optional<TraceWindow> W = Split->push(E, I))
+          if (std::optional<TraceWindow> W = Splitter->push(E, I))
             dispatchWindow(Ep, std::move(*W));
         });
         Consumed = To;
@@ -551,7 +553,7 @@ void AnalysisSession::Impl::windowedConsumer() {
       }
       // Stopped and fully drained: flush the trailing partial window,
       // wait out the in-flight tasks, merge.
-      if (std::optional<TraceWindow> W = Split->flush())
+      if (std::optional<TraceWindow> W = Splitter->flush())
         dispatchWindow(Ep, std::move(*W));
       {
         std::unique_lock<std::mutex> ELk(Ep->EM);
@@ -638,37 +640,26 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
 }
 
 /// Attaches capture to a var-sharded lane's freshly built detector, once
-/// per session: the log, the broadcast table and the shard checkers are
-/// all growable, so \p HintThreads / \p HintVars are sizing hints, not
-/// bounds. The checkers are built before Capturing is set under LogM, so
-/// whoever observes Capturing also sees every checker. Returns false,
-/// leaving \p VS untouched, for a detector without capture support — that
-/// lane then walks exactly like a Sequential one.
-bool AnalysisSession::Impl::attachCapture(VarShardState &VS,
-                                          uint32_t HintThreads,
-                                          uint32_t HintVars) {
+/// per session, from buildLane() in start(): the log, the broadcast table
+/// and the shard checkers are all growable, so the tables at start only
+/// size them. A detector without capture support leaves \p VS untouched
+/// (Capturing stays false) — that lane then walks exactly like a
+/// Sequential one.
+void AnalysisSession::Impl::attachCapture(VarShardState &VS) {
   LaneRuntime &Rt = *VS.Rt;
+  const uint32_t HintThreads = Live->numThreads();
+  const uint32_t HintVars = Live->numVars();
   auto Log = std::make_unique<AccessLog>(HintThreads);
-  ShardReplay Replay;
-  const ShardContext *Ctx; // Owned by the detector, which outlives drains.
-  {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    if (!Rt.D->beginCapture(*Log))
-      return false;
-    Replay = Rt.D->shardReplay();
-    Ctx = Rt.D->shardContext();
-  }
-  for (uint32_t S = 0; S != VS.Plan.NumShards; ++S) {
-    VarShard &Sh = *VS.Shards[S];
-    std::lock_guard<std::mutex> G(Sh.SM);
-    Sh.Checker = std::make_unique<ShardChecker>(
+  if (!Rt.D->beginCapture(*Log))
+    return;
+  const ShardReplay Replay = Rt.D->shardReplay();
+  const ShardContext *Ctx = Rt.D->shardContext(); // Outlives the drains.
+  for (uint32_t S = 0; S != VS.Plan.NumShards; ++S)
+    VS.Shards[S]->Checker = std::make_unique<ShardChecker>(
         Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
-  }
-  std::lock_guard<std::mutex> G(VS.LogM);
   VS.LogHolder = std::move(Log);
   VS.Log = VS.LogHolder.get();
   VS.Capturing = true;
-  return true;
 }
 
 /// Publishes a capture chunk to the drains: commits the captured prefix
@@ -787,6 +778,8 @@ void AnalysisSession::Impl::registerObservability() {
     Rt.Batches = S.counter("batches");
     Rt.BatchEventsPeak = S.highWater("batch_events_peak");
     Rt.LagEventsPeak = S.highWater("lag_events_peak");
+    if (Cfg.Mode != RunMode::Windowed)
+      Rt.FirstConsumeDelayNs = S.gauge("first_consume_delay_ns");
     if (Cfg.Mode == RunMode::Windowed) {
       Rt.WindowsChecked = S.counter("windows_checked");
       Rt.WindowCheckNs = S.counter("window_check_ns");
@@ -804,9 +797,11 @@ void AnalysisSession::Impl::registerObservability() {
   }
 }
 
-/// Validates the config, builds the lanes and launches the consumers. An
+/// Validates the config, builds the lanes — every detector, and the
+/// windowed builder's epoch and splitter — and launches the consumers. An
 /// \p Adopted trace is published before any consumer starts, so the
-/// consumers find the whole trace at their first watermark load.
+/// consumers find the whole trace at their first watermark load; a
+/// streaming session builds against empty tables, which grow in place.
 void AnalysisSession::Impl::start(const Trace *Adopted) {
   SessionStatus = Cfg.validate();
   if (!SessionStatus.ok()) {
@@ -828,6 +823,8 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
   switch (Cfg.Mode) {
   case RunMode::Sequential:
     for (auto &Rt : Lanes)
+      buildLane(*Rt, nullptr);
+    for (auto &Rt : Lanes)
       Consumers.emplace_back([this, R = Rt.get()] {
         laneConsumer(*R, nullptr);
       });
@@ -835,6 +832,9 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
   case RunMode::Windowed:
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
     Pool->attachTelemetry(MetricsScope(Reg.get(), "pool."), Rec.get());
+    WinEpoch = std::make_shared<WindowEpoch>();
+    Splitter =
+        std::make_unique<IncrementalWindowSplitter>(*Live, Cfg.WindowEvents);
     Consumers.emplace_back([this] { windowedConsumer(); });
     break;
   case RunMode::VarSharded:
@@ -847,6 +847,7 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
       VS->Plan = ShardPlan(std::max<uint32_t>(Cfg.VarShards, 1));
       for (uint32_t S = 0; S != VS->Plan.NumShards; ++S)
         VS->Shards.push_back(std::make_unique<VarShard>());
+      buildLane(*VS->Rt, VS.get());
       VarStates.push_back(std::move(VS));
     }
     for (size_t L = 0; L != Lanes.size(); ++L)
@@ -856,6 +857,7 @@ void AnalysisSession::Impl::start(const Trace *Adopted) {
           });
     break;
   }
+  NumConsumers = static_cast<unsigned>(Consumers.size());
 }
 
 void AnalysisSession::Impl::stopConsumers() {
@@ -866,12 +868,7 @@ void AnalysisSession::Impl::stopConsumers() {
   Store.wakeAll();
   for (std::thread &T : Consumers)
     T.join();
-  {
-    // partialResult() (possibly on a monitoring thread) reads the
-    // consumer count under M; clearing must synchronize with it.
-    std::lock_guard<std::mutex> Lk(M);
-    Consumers.clear();
-  }
+  Consumers.clear();
   if (Pool)
     Pool->wait(); // In-flight stragglers, if any.
 }
@@ -888,21 +885,22 @@ Status AnalysisSession::Impl::ingestGate() {
 
 /// Validates events [Validated, Live->size()) in trace order; stops at
 /// the first violation, which sticks in SessionStatus. Returns true while
-/// clean. Caller holds M.
-bool AnalysisSession::Impl::validateNewLocked() {
+/// clean. Producer only; takes M just to record a violation.
+bool AnalysisSession::Impl::validateNew() {
   uint64_t T0 = IngestValidateNs.enabled() ? obsNowNs() : 0;
-  bool Clean = validateNewLockedInner();
+  bool Clean = validateNewInner();
   if (T0)
     IngestValidateNs.add(obsNowNs() - T0);
   return Clean;
 }
 
-bool AnalysisSession::Impl::validateNewLockedInner() {
+bool AnalysisSession::Impl::validateNewInner() {
   const std::vector<Event> &Events = Live->events();
   while (Validated < Events.size()) {
     Validator.feed(Events[Validated], Validated, *Live);
     if (!Validator.ok()) {
       const TraceViolation &V = Validator.result().Violations.front();
+      std::lock_guard<std::mutex> Lk(M);
       SessionStatus =
           Status(StatusCode::ValidationError,
                  "event " + std::to_string(V.Index) + ": " + V.Message +
@@ -918,21 +916,30 @@ bool AnalysisSession::Impl::validateNewLockedInner() {
 /// Advances the published prefix to the validated one: mirrors the newly
 /// validated events into the store (stable storage, one copy made on the
 /// ingest side), then publishes them with a single watermark store —
-/// which is also what wakes parked consumers. Caller holds M; the store's
-/// appended count always equals its watermark between calls.
-void AnalysisSession::Impl::publishLocked() {
+/// which is also what wakes parked consumers. Producer only, no lock (the
+/// store is SPMC); its appended count always equals its watermark between
+/// calls.
+void AnalysisSession::Impl::publishNew() {
   uint64_t Prev = Store.size();
   if (Validated == Prev)
     return;
   const std::vector<Event> &Events = Live->events();
   for (uint64_t I = Prev; I != Validated; ++I)
     Store.append(Events[I]);
+  if (Prev == 0 && PublishedGauge.enabled())
+    FirstPublishNs = obsNowNs();
   Store.publish(Validated);
   PublishBatches.add();
   PublishBatchPeak.observe(Validated - Prev);
   PublishedGauge.set(Validated);
   if (Rec)
     Rec->counter("published", Rec->nowUs(), Validated);
+}
+
+/// Producer-side ingest timing, read by partialResult() under M.
+void AnalysisSession::Impl::addIngestSeconds(double Seconds) {
+  std::lock_guard<std::mutex> Lk(M);
+  IngestSeconds += Seconds;
 }
 
 /// analyzeTrace's ingestion: \p T becomes the live trace and the store
@@ -943,6 +950,9 @@ void AnalysisSession::Impl::adoptTrace(const Trace &T) {
   Live = &T;
   Ingested = true;
   Validated = T.size();
+  Fed.store(T.size(), std::memory_order_release);
+  if (PublishedGauge.enabled())
+    FirstPublishNs = obsNowNs();
   Store.adopt(T.events().data(), T.size());
   PublishBatches.add();
   PublishBatchPeak.observe(T.size());
@@ -953,16 +963,10 @@ void AnalysisSession::Impl::adoptTrace(const Trace &T) {
 /// retired windows, merged in window order — never a torn merge, because
 /// a window either contributes whole or not at all.
 void AnalysisSession::Impl::snapshotWindowedLane(size_t L, LaneReport &Lane) {
-  std::shared_ptr<WindowEpoch> Ep;
-  {
-    std::lock_guard<std::mutex> Lk(M);
-    Ep = WinEpoch;
-  }
-  if (!Ep)
-    return;
-  std::lock_guard<std::mutex> G(Ep->EM);
+  WindowEpoch &Ep = *WinEpoch;
+  std::lock_guard<std::mutex> G(Ep.EM);
   std::string Base;
-  for (const std::unique_ptr<WindowEntry> &W : Ep->Windows) {
+  for (const std::unique_ptr<WindowEntry> &W : Ep.Windows) {
     const WindowSlot &S = W->Slots[L];
     if (!S.Done)
       break;
@@ -1161,14 +1165,15 @@ Status AnalysisSession::feed(const std::vector<Event> &Batch) {
                           " references undeclared ids; declare names (or "
                           "declareTablesFrom) before feeding");
     }
-    for (const Event &E : Batch)
-      I->Owned.append(E);
-    bool Clean = I->validateNewLocked();
-    I->publishLocked(); // The watermark store doubles as the wake.
-    I->IngestSeconds += Ingest.seconds();
-    if (!Clean)
-      return I->SessionStatus;
   }
+  for (const Event &E : Batch)
+    I->Owned.append(E);
+  I->Fed.store(I->Owned.size(), std::memory_order_release);
+  bool Clean = I->validateNew();
+  I->publishNew(); // The watermark store doubles as the wake.
+  I->addIngestSeconds(Ingest.seconds());
+  if (!Clean)
+    return I->SessionStatus;
   if (I->Rec)
     I->Rec->span(I->IngestTrack, "feed", SpanStart,
                  I->Rec->nowUs() - SpanStart);
@@ -1189,57 +1194,54 @@ Status AnalysisSession::feedFile(const std::string &Path) {
   Timer Ingest;
   ChunkedTraceReader Reader(Path);
   // The reader's internal trace becomes the live published trace while
-  // the loop runs: chunk parsing mutates it under the session mutex, and
-  // every validated chunk publishes immediately — for text inputs too,
-  // whose id tables intern lazily as lines parse. Growable detector state
-  // makes that safe: lanes built against the tables of an early chunk
-  // admit later-interned ids in place, so analysis overlaps ingestion for
-  // both formats and no lane ever restarts.
+  // the loop runs. The loop takes no lock: this thread is the trace's
+  // only writer, and lanes read only the published store. Every validated
+  // chunk publishes immediately — for text inputs too, whose id tables
+  // intern lazily as lines parse; the lanes' growable detector state
+  // admits later-interned ids in place, so analysis overlaps ingestion
+  // for both formats and no lane ever restarts.
+  I->Live = &Reader.current();
   bool Poisoned = false;
   while (!Reader.done() && !Poisoned) {
     int64_t SpanStart = I->Rec ? I->Rec->nowUs() : 0;
-    {
-      std::unique_lock<std::mutex> Lk(I->M, std::defer_lock);
-      lockCharged(Lk, I->IngestLockWaitNs);
-      I->Live = &Reader.current();
-      uint64_t P0 = I->IngestParseNs.enabled() ? obsNowNs() : 0;
-      Reader.nextChunk();
-      if (P0)
-        I->IngestParseNs.add(obsNowNs() - P0);
-      I->Live = &Reader.current();
-      if (Reader.ok()) {
-        // Only the §2.1-validated prefix may reach live lanes; a
-        // violation freezes publication (and ingestion) right here.
-        Poisoned = !I->validateNewLocked();
-        I->publishLocked(); // No-op when nothing new validated.
-      }
+    uint64_t P0 = I->IngestParseNs.enabled() ? obsNowNs() : 0;
+    Reader.nextChunk();
+    if (P0)
+      I->IngestParseNs.add(obsNowNs() - P0);
+    I->Fed.store(Reader.current().size(), std::memory_order_release);
+    if (Reader.ok()) {
+      // Only the §2.1-validated prefix may reach live lanes; a
+      // violation freezes publication (and ingestion) right here.
+      Poisoned = !I->validateNew();
+      I->publishNew(); // No-op when nothing new validated.
     }
     if (I->Rec)
       I->Rec->span(I->IngestTrack, "chunk", SpanStart,
                    I->Rec->nowUs() - SpanStart);
   }
+  // Move the trace into the session before the reader dies. On success
+  // everything validated publishes (covers the text path); on failure the
+  // already published prefix stays analyzable and the first error sticks.
   Status ReadStatus = Reader.status();
   {
     std::lock_guard<std::mutex> Lk(I->M);
-    // Move the trace into the session before the reader dies. On success
-    // everything validated publishes (covers the text path); on failure
-    // the already published prefix stays analyzable and the first error
-    // sticks.
     I->Owned = Reader.take();
-    I->Live = &I->Owned;
-    if (!Poisoned)
-      I->validateNewLocked();
+  }
+  I->Live = &I->Owned;
+  if (!Poisoned)
+    I->validateNew();
+  {
+    std::lock_guard<std::mutex> Lk(I->M);
     if (I->SessionStatus.ok() && !ReadStatus.ok())
       I->SessionStatus = ReadStatus;
-    I->publishLocked();
-    I->IngestSeconds += Ingest.seconds();
   }
+  I->publishNew();
+  I->addIngestSeconds(Ingest.seconds());
   return I->SessionStatus;
 }
 
 uint64_t AnalysisSession::eventsFed() const {
-  std::lock_guard<std::mutex> Lk(I->M);
-  return I->Live->size();
+  return I->Fed.load(std::memory_order_acquire);
 }
 
 bool AnalysisSession::finished() const {
@@ -1252,10 +1254,7 @@ AnalysisSession::Progress AnalysisSession::progress() const {
   // Watermark first: it is monotone and lanes never pass it, so the
   // min-consumed read below can only be <= this snapshot.
   P.Published = I->Store.published();
-  {
-    std::lock_guard<std::mutex> Lk(I->M);
-    P.Fed = I->Live->size();
-  }
+  P.Fed = I->Fed.load(std::memory_order_acquire);
   // A failed lane has stopped for good; it holds nobody back. (Windowed
   // lanes share the builder's watermark; a builder failure fails them all.)
   uint64_t Min = P.Published;
@@ -1293,10 +1292,9 @@ AnalysisResult AnalysisSession::partialResult() {
     std::lock_guard<std::mutex> Lk(I->M);
     R.Overall = I->SessionStatus;
     R.IngestSeconds = I->IngestSeconds;
-    R.ThreadsUsed = static_cast<unsigned>(
-        std::max<size_t>(I->Consumers.size(), 1) +
-        (I->Pool ? I->Pool->numThreads() : 0));
   }
+  R.ThreadsUsed = std::max(I->NumConsumers, 1u) +
+                  (I->Pool ? I->Pool->numThreads() : 0);
   R.WallSeconds = I->Wall.seconds();
   if (I->Cfg.Mode == RunMode::VarSharded)
     R.VarShards = I->Cfg.VarShards;
@@ -1313,13 +1311,12 @@ AnalysisResult AnalysisSession::finish() {
     }
     I->Finished = true;
   }
-  unsigned NumConsumers = static_cast<unsigned>(I->Consumers.size());
   I->stopConsumers();
 
   AnalysisResult R = I->snapshotLanes(/*Partial=*/false);
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
-    R.ThreadsUsed = std::max(NumConsumers, 1u);
+    R.ThreadsUsed = std::max(I->NumConsumers, 1u);
     break;
   case RunMode::Windowed:
     // NumShards is the window count and ThreadsUsed the pool width. No pool exists when the config failed

@@ -39,13 +39,14 @@
 /// AnalysisError, the other lanes complete, and progress() stops counting
 /// it (so a served client is never parked behind a dead lane).
 ///
-/// Detectors are constructed against the id tables (threads/locks/vars)
-/// visible when a lane first has work, and *grow in place* when tables
-/// grow afterwards — text inputs intern lazily; push feeds may declare
-/// late. Every piece of detector state is size-polymorphic (implicit-zero
-/// vector clocks, grow-on-first-touch access histories/locksets/queues),
-/// so a mid-stream declaration is an O(1) metadata update: no lane ever
-/// rebuilds or replays.
+/// Detectors are constructed when the session starts, against the id
+/// tables (threads/locks/vars) that exist then — none for a streaming
+/// session, all of them for analyzeTrace() — and *grow in place* as
+/// tables grow afterwards: text inputs intern lazily; push feeds may
+/// declare late. Every piece of detector state is size-polymorphic
+/// (implicit-zero vector clocks, grow-on-first-touch access
+/// histories/locksets/queues), so a mid-stream declaration is an O(1)
+/// metadata update: no lane ever rebuilds or replays.
 /// Declaring names up front (binary headers, declareTablesFrom) is still
 /// good hygiene — it sizes state once — but is no longer required for
 /// streaming: text files publish chunk by chunk exactly like binary ones,
@@ -130,16 +131,17 @@ public:
   /// error.
   Status feedFile(const std::string &Path);
 
-  /// Events ingested (== published to lanes).
+  /// Events appended so far (>= published to lanes). Lock-free, like
+  /// progress().
   uint64_t eventsFed() const;
   bool finished() const;
 
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
   /// past its budget). A failed lane no longer counts toward
-  /// MinLaneConsumed. Cheap and takes no lane lock, so it never waits
-  /// on a lane mid-batch; safe to call concurrently with feeds and
-  /// consumers, like partialResult().
+  /// MinLaneConsumed. Lock-free — it never waits on the producer or on a
+  /// lane mid-batch; safe to call concurrently with feeds and consumers,
+  /// like partialResult().
   struct Progress {
     uint64_t Fed = 0;             ///< Events appended (>= Published).
     uint64_t Published = 0;       ///< Validated events visible to lanes.

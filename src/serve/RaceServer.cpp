@@ -91,6 +91,9 @@ void stageError(std::string &Out, const Status &S,
 
 /// Bytes per socket read.
 constexpr size_t ReadChunkBytes = 64 * 1024;
+/// The IO loop's poll tick, and its tick while any connection is parked.
+constexpr int PollTickMs = 20;
+constexpr int ParkedPollMs = 1;
 
 /// The machine-readable code a sticky ingest status maps to.
 WireErrorCode wireCodeFor(const Status &S) {
@@ -379,8 +382,7 @@ struct RaceServer::Impl {
       // A parked connection resumes only from recheckParked() below, and
       // lanes drain half a budget in well under a poll tick: recheck
       // every millisecond while any connection waits on its lanes.
-      ::poll(Fds.data(), Fds.size(),
-             AnyParked ? std::min(Cfg.PollTimeoutMs, 1) : Cfg.PollTimeoutMs);
+      ::poll(Fds.data(), Fds.size(), AnyParked ? ParkedPollMs : PollTickMs);
       if (Fds[0].revents & POLLIN) {
         char Drain[64];
         while (::read(WakeR, Drain, sizeof(Drain)) > 0)

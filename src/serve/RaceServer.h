@@ -83,9 +83,6 @@ struct RaceServerConfig {
   ServeBudgets Budgets;
   /// Workers in the shared ingest pool (0 = hardware concurrency).
   unsigned IngestThreads = 2;
-  /// Poll tick; while any connection is parked the IO thread rechecks
-  /// parked connections every millisecond instead.
-  int PollTimeoutMs = 20;
 
   // -- Fault tolerance / degradation knobs -----------------------------------
 

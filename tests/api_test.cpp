@@ -27,15 +27,24 @@
 #include "gen/RandomTraceGen.h"
 #include "hb/HbDetector.h"
 #include "io/TraceFile.h"
+#include "pipeline/ChunkedReader.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
 #include "trace/Window.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <future>
 #include <thread>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace rapid;
 using testutil::expectSameReport;
@@ -440,6 +449,106 @@ TEST(ApiSessionTest, FeedFileTextMatchesBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, S.trace(), "feedFile text");
   std::remove(Path.c_str());
+}
+
+// Lanes analyze while feedFile is still reading: the producer parses,
+// validates and publishes without holding the session mutex, and every
+// detector exists before the first chunk, so neither the lanes nor
+// progress()/partialResult() wait for ingestion to end. A FIFO (the
+// reader's buffered backend) holds the producer mid-file: the test writes
+// exactly one refill's worth of bytes, which holds more than one event
+// chunk, so the first chunk publishes and the next read blocks until the
+// writer closes. Polling runs on a helper thread against a deadline, and
+// the writer is always closed, so a regression fails by timeout instead
+// of hanging.
+TEST(ApiSessionTest, LanesAnalyzeWhileFeedFileWaitsOnAPipe) {
+  const ChunkedReaderOptions Reader;
+  const uint64_t FirstChunk = Reader.MaxEventsPerChunk;
+  // Complete lines filling exactly one refill: the reader's first read
+  // returns without waiting for the writer to close, and EOF never cuts a
+  // line.
+  const std::string Line = "T0|r(x)|L1\n";
+  std::string Text;
+  uint64_t Lines = 0;
+  while (Text.size() + 2 * Line.size() <= Reader.ChunkBytes) {
+    Text += Lines % 2 ? "T1|" : "T0|";
+    Text += Lines % 256 == 0 ? "w(x)" : "r(x)";
+    Text += "|L1\n";
+    ++Lines;
+  }
+  // The last line's location name pads the text to exactly ChunkBytes.
+  const std::string Head = "T0|r(x)|L";
+  Text += Head + std::string(Reader.ChunkBytes - Text.size() - Head.size() - 1,
+                             '1') +
+          "\n";
+  ++Lines;
+  ASSERT_EQ(Text.size(), Reader.ChunkBytes);
+  ASSERT_GT(Lines, FirstChunk);
+
+  const std::string Path = tempPath("feed.fifo");
+  std::remove(Path.c_str());
+  ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0) << std::strerror(errno);
+  // O_RDWR never blocks on a FIFO (Linux), and the pipe keeps a reader
+  // while the session's reader probes and reopens the path, so writes
+  // cannot fail with EPIPE. It is the only writer: closing it is EOF.
+  const int Fd = ::open(Path.c_str(), O_RDWR);
+  ASSERT_GE(Fd, 0) << std::strerror(errno);
+
+  AnalysisSession S(allDetectorConfig(RunMode::Sequential));
+  Status Fed;
+  std::thread Producer([&] { Fed = S.feedFile(Path); });
+  bool Written = true;
+  for (size_t Off = 0; Off != Text.size() && Written;) {
+    const ssize_t N = ::write(Fd, Text.data() + Off, Text.size() - Off);
+    Written = N > 0;
+    Off += Written ? static_cast<size_t>(N) : 0;
+  }
+
+  std::atomic<bool> GiveUp{false};
+  bool CaughtUp = false;
+  AnalysisSession::Progress Seen;
+  AnalysisResult Mid;
+  std::promise<void> PollerDone;
+  std::future<void> PollerExited = PollerDone.get_future();
+  std::thread Poller([&] {
+    while (!GiveUp.load()) {
+      Seen = S.progress();
+      if (Seen.MinLaneConsumed >= FirstChunk) {
+        Mid = S.partialResult();
+        CaughtUp = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    PollerDone.set_value();
+  });
+  const bool InTime = PollerExited.wait_for(std::chrono::seconds(10)) ==
+                      std::future_status::ready;
+  GiveUp = true;
+  ::close(Fd); // EOF: ends feedFile, and with it any wait on the producer.
+  Poller.join();
+  Producer.join();
+  std::remove(Path.c_str());
+
+  ASSERT_TRUE(Written) << std::strerror(errno);
+  ASSERT_TRUE(InTime && CaughtUp)
+      << "lanes consumed " << Seen.MinLaneConsumed << " of " << Seen.Published
+      << " published events while feedFile waited on the pipe";
+  EXPECT_EQ(Seen.Published, FirstChunk);
+  EXPECT_TRUE(Mid.Partial);
+  EXPECT_TRUE(Mid.Overall.ok()) << Mid.Overall.str();
+  EXPECT_EQ(Mid.EventsIngested, FirstChunk);
+  ASSERT_TRUE(Fed.ok()) << Fed.str();
+  AnalysisResult R = S.finish();
+  ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
+  ASSERT_EQ(S.trace().size(), Lines);
+  expectLanesMatchSequential(R, S.trace(), "feedFile fifo");
+  ASSERT_EQ(Mid.Lanes.size(), R.Lanes.size());
+  for (size_t L = 0; L != R.Lanes.size(); ++L) {
+    EXPECT_EQ(Mid.Lanes[L].EventsConsumed, FirstChunk);
+    expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report,
+                         "feedFile fifo partial");
+  }
 }
 
 TEST(ApiSessionTest, FeedFileFailuresAreStructured) {

@@ -599,7 +599,6 @@ TEST_F(RaceServerTest, OverBudgetProducerIsParkedNotDropped) {
   Cfg.Session.StreamBatchEvents = 64;
   Cfg.Session.addDetector(throttledHb(Gate), "throttled-HB");
   Cfg.Budgets.MaxLagEvents = 64;
-  Cfg.PollTimeoutMs = 5;
   RaceServer Server(Cfg);
   ASSERT_TRUE(Server.start().ok());
   // Whatever happens below (including a failed ASSERT returning early),
@@ -657,7 +656,6 @@ TEST_F(RaceServerTest, FailedLaneDoesNotParkTheClientForever) {
   Cfg.Session.addDetector(throttledHb(Gate), "throttled-HB");
   Cfg.Session.addDetector(testutil::hbThrowingAt(100), "MidBoom");
   Cfg.Budgets.MaxLagEvents = 64;
-  Cfg.PollTimeoutMs = 5;
   RaceServer Server(Cfg);
   ASSERT_TRUE(Server.start().ok());
   GateOpener Opener{Gate};
