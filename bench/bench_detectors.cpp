@@ -7,9 +7,10 @@
 // on the same workload trace — HB (Djit+-style), FastTrack (the epoch
 // optimization the paper's conclusion proposes), WCP (Algorithm 1) and
 // Eraser (the unsound-but-fast lockset baseline of §1's taxonomy).
-// HB and WCP also run on eclipse (14 threads, 8263 locks, scale 0.25):
-// lock-heavy traces with wide clocks are where WCP's per-lock queues and
-// release cells cost the most relative to HB.
+// HB, WCP and SyncP also run on eclipse (14 threads, 8263 locks, scale
+// 0.25): lock-heavy traces with wide clocks are where WCP's per-lock
+// queues and release cells, and SyncP's per-thread ideals over thousands
+// of locks, cost the most relative to HB.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "hb/FastTrackDetector.h"
 #include "hb/HbDetector.h"
 #include "lockset/EraserDetector.h"
+#include "syncp/SyncPDetector.h"
 #include "wcp/WcpDetector.h"
 
 #include <benchmark/benchmark.h>
@@ -61,6 +63,9 @@ void HbEclipse(benchmark::State &S) {
 void WcpEclipse(benchmark::State &S) {
   detectorThroughput<WcpDetector>(S, eclipseTrace());
 }
+void SyncPEclipse(benchmark::State &S) {
+  detectorThroughput<SyncPDetector>(S, eclipseTrace());
+}
 
 BENCHMARK(Hb);
 BENCHMARK(FastTrack);
@@ -68,6 +73,7 @@ BENCHMARK(Wcp);
 BENCHMARK(Eraser);
 BENCHMARK(HbEclipse);
 BENCHMARK(WcpEclipse);
+BENCHMARK(SyncPEclipse);
 
 } // namespace
 

@@ -46,15 +46,17 @@
 // slowest lane); diverging reports fail the bench.
 //
 // The "syncp" section benchmarks the sync-preserving lane on its own
-// random-program trace (reduced event count: the SP-closure re-decides
-// every candidate pair exactly, so its cost scales with candidates, not
-// just events). It records the sequential wall, race/candidate/closure
-// counts from the lane telemetry, and a streamed session's wall on the
-// same trace — the streamed report must match the batch one or the bench
-// fails. --acq-rel-ratio P (percent, default 25) is the generator's
-// release-probability knob (gen/RandomTraceGen.h ReleasePercent): low
-// values hold critical sections open across many accesses, which is the
-// stress axis for the closure's per-lock maxima and WCP's queues.
+// lock-dense random-program trace (events/64, at least 4000). It records
+// the sequential wall, race/candidate/closure counts from the lane
+// telemetry, and a streamed session's wall on the same trace — the
+// streamed report must match the batch one or the bench fails. On the
+// montecarlo workload it also records montecarlo_syncp_over_wcp, the
+// sequential runDetector time of SyncP over WCP's on the full trace
+// (information only, no gate). --acq-rel-ratio P (percent, default 25)
+// is the generator's release-probability knob (gen/RandomTraceGen.h
+// ReleasePercent): low values hold critical sections open across many
+// accesses, which is the stress axis for the closure's per-lock maxima
+// and WCP's queues.
 //
 // The "serve_resilience" section prices fault tolerance: one trace
 // streamed through a live RaceServer twice over a resumable client —
@@ -246,12 +248,14 @@ int main(int Argc, char **Argv) {
   };
 
   // Baseline: the pre-pipeline workflow — three separate sequential runs.
-  double SeqTotal = 0;
+  double SeqTotal = 0, WcpSeqSeconds = 0;
   std::string SeqJson;
   for (LaneSpec &L : Lanes) {
     std::unique_ptr<Detector> D = L.Make(T);
     RunResult R = runDetector(*D, T);
     SeqTotal += R.Seconds;
+    if (std::string(L.Name) == "WCP")
+      WcpSeqSeconds = R.Seconds;
     std::fprintf(stderr, "sequential %-9s %6.2fs  %llu race pair(s)\n",
                  L.Name, R.Seconds,
                  (unsigned long long)R.Report.numDistinctPairs());
@@ -689,12 +693,9 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Sync-preserving lane: its own reduced-size random trace (the
-  // SP-closure is exact per candidate pair, so candidates — not raw
-  // events — dominate the cost; running it over the full 1M-event trace
-  // would swamp the section without adding information). --acq-rel-ratio
-  // feeds the generator's ReleasePercent: low ratios hold critical
-  // sections open across many accesses, the stress axis for the
+  // Sync-preserving lane: its own lock-dense random trace.
+  // --acq-rel-ratio feeds the generator's ReleasePercent: low ratios hold
+  // critical sections open across many accesses, the stress axis for the
   // closure's per-lock maxima. The streamed session must reproduce the
   // batch report bit-for-bit or the bench fails.
   std::string SyncPJson;
@@ -706,13 +707,7 @@ int main(int Argc, char **Argv) {
     SP.NumVars = 64;
     SP.MaxLockNesting = 2;
     SP.ReleasePercent = AcqRelRatio;
-    // The closure cost grows with candidates x ideal size (~quadratic in
-    // trace length on lock-dense random programs), so the section stays
-    // deliberately small: a 12k-event ceiling keeps the full bench's
-    // syncp cost in single-digit seconds while still exercising tens of
-    // thousands of candidate decisions.
-    uint64_t SyncPEvents = std::min<uint64_t>(
-        std::max<uint64_t>(TargetEvents / 64, 4000), 12000);
+    uint64_t SyncPEvents = std::max<uint64_t>(TargetEvents / 64, 4000);
     SP.OpsPerThread = static_cast<uint32_t>(SyncPEvents / SP.NumThreads);
     Trace ST = randomTrace(SP);
     std::fprintf(stderr,
@@ -741,6 +736,16 @@ int main(int Argc, char **Argv) {
                  (unsigned long long)Candidates,
                  (unsigned long long)ClosureIters,
                  (unsigned long long)IdealPeak);
+
+    // SyncP against WCP on the full workload trace: how far the lane
+    // sits from the linear-time detector it generalizes.
+    std::string OverWcpJson;
+    if (Workload == "montecarlo" && WcpSeqSeconds > 0) {
+      SyncPDetector Full(T);
+      const double Ratio = runDetector(Full, T).Seconds / WcpSeqSeconds;
+      std::fprintf(stderr, "syncp over wcp on montecarlo: %.2fx\n", Ratio);
+      OverWcpJson = ", \"montecarlo_syncp_over_wcp\": " + jsonNum(Ratio);
+    }
 
     std::string SPath = OutPath + ".syncp_trace.bin";
     std::string SaveErr = saveTraceFile(ST, SPath);
@@ -793,7 +798,7 @@ int main(int Argc, char **Argv) {
           ", \"instances\": " + std::to_string(Batch.Report.numInstances()) +
           ", \"candidate_pairs\": " + std::to_string(Candidates) +
           ", \"closure_iterations\": " + std::to_string(ClosureIters) +
-          ", \"ideal_peak\": " + std::to_string(IdealPeak) +
+          ", \"ideal_peak\": " + std::to_string(IdealPeak) + OverWcpJson +
           ", \"streamed_matches_batch\": true}";
     }
   }

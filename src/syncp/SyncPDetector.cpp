@@ -7,8 +7,8 @@
 // sections wholesale, so lock edges prune soundly for WCP but would lose
 // races for SyncP; thread order is the largest order every correct
 // reordering must respect. The AccessHistory over that clock yields the
-// candidate pairs, and the SP-closure (SyncPIndex) is the exact decision
-// procedure on each.
+// candidate pairs, and the incremental SP-closure checker (SyncPIndex.h)
+// is the exact decision procedure on each.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,17 +21,18 @@ using namespace rapid;
 namespace {
 
 /// Shard-phase engine: same candidate enumeration as the sequential walk
-/// (an AccessHistory over shard-local variable ids), same closure filter
-/// over the shared read-only index. Shards see their variables' accesses
-/// in trace order, and the closure depends only on the index prefix below
-/// the candidate pair — which the AccessLog commit watermark guarantees is
-/// published — so the merged sharded report is bit-for-bit the sequential
-/// one.
+/// (an AccessHistory over shard-local variable ids), same decision over
+/// the shared read-only index through the shard's own checker. Shards see
+/// their variables' accesses in trace order — so each thread's e2s arrive
+/// in increasing order, as the checker's bases need — and the decision
+/// depends only on the index prefix below the candidate pair, which the
+/// AccessLog commit watermark guarantees is published; the merged sharded
+/// report is bit-for-bit the sequential one.
 class SyncPShardReplayer : public ShardReplayer {
 public:
   SyncPShardReplayer(const SyncPIndex &Index, SyncPTelemetry &Tel,
                      uint32_t NumLocalVars, uint32_t NumThreads)
-      : Index(Index), Tel(Tel), History(NumLocalVars, NumThreads) {}
+      : Checker(Index, Tel), History(NumLocalVars, NumThreads) {}
 
   void replay(const DeferredAccess &A, VarId Local, const VectorClock &Ce,
               const VectorClock *Hard, std::vector<RaceInstance> &Out) override {
@@ -42,7 +43,7 @@ public:
     else
       History.checkRead(Local, A.Thread, Ce, A.Loc, A.Idx, Scratch);
     for (RaceInstance &R : Scratch)
-      if (Index.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Tel, nullptr)) {
+      if (Checker.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx)) {
         R.Var = A.Var; // Report in parent-trace variable ids.
         Out.push_back(R);
       }
@@ -53,8 +54,7 @@ public:
   }
 
 private:
-  const SyncPIndex &Index;
-  SyncPTelemetry &Tel;
+  SyncPChecker Checker; ///< This shard's own bases.
   AccessHistory History;
   std::vector<RaceInstance> Scratch;
 };
@@ -136,7 +136,7 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
     else
       History.checkRead(E.var(), T, Ct, E.Loc, Idx, Scratch);
     for (const RaceInstance &R : Scratch)
-      if (Index.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Tel, nullptr))
+      if (Checker.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx))
         Report.addRace(R);
     if (IsWrite)
       History.recordWrite(E.var(), T, Ct.get(T), E.Loc, Idx);

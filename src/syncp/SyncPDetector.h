@@ -23,13 +23,17 @@
 ///                last-access records AccessHistory keeps, so the
 ///                enumeration policy (and its last-access-only caveat)
 ///                matches the HB/WCP lanes exactly;
-///   check        each surviving candidate runs the SP-closure over the
-///                SyncPIndex, O(prefix) per pair;
+///   check        each surviving candidate is decided by a SyncPChecker
+///                over the SyncPIndex: one SP-ideal per thread that only
+///                grows along the thread, extended by the other endpoint's
+///                prefix and rolled back per pair — O(N·T) base work over
+///                the whole trace instead of O(prefix) per pair;
 ///   shard mode   the checks partition by variable: capture defers them
 ///                into the AccessLog with the thread-order clock as C_e,
 ///                and shard drains replay them through a SyncPShardReplayer
-///                that filters the same candidates through the same index
-///                (reached via Detector::shardContext()). Reports are
+///                that decides the same candidates with its own checker
+///                over the same index (reached via
+///                Detector::shardContext()). Reports are
 ///                bit-for-bit identical to the sequential walk for any
 ///                shard count, pinned by the differential fuzzers.
 ///
@@ -76,7 +80,7 @@ public:
   void processEvent(const Event &E, EventIdx Index) override;
   std::string name() const override { return "SyncP"; }
 
-  /// SyncP's candidate checks partition by variable; the closure reaches
+  /// SyncP's candidate checks partition by variable; the checker reaches
   /// lane-wide state through shardContext(), so capture mode defers only
   /// the per-variable candidate enumeration into \p Log.
   bool beginCapture(AccessLog &Log) override {
@@ -87,13 +91,6 @@ public:
   const ShardContext *shardContext() const override { return &Ctx; }
 
   void telemetry(std::vector<MetricSample> &Out) const override;
-
-  /// Testing hooks: the closure index (soundness tests re-derive witness
-  /// schedules for reported races) and the thread-order clock.
-  const SyncPIndex &index() const { return Index; }
-  const VectorClock &threadClock(ThreadId T) const {
-    return ThreadClocks[T.value()];
-  }
 
 private:
   void incrementLocal(ThreadId T);
@@ -111,6 +108,7 @@ private:
   SyncPIndex Index;
   SyncPTelemetry Tel;
   SyncPShardContext Ctx{Index, Tel};
+  SyncPChecker Checker{Index, Tel}; ///< Sequential-mode decisions.
   AccessHistory History; ///< Sequential-mode candidate records.
   std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.

@@ -2,46 +2,34 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// The SP-closure (POPL'21, §4): an *ideal* is a union of per-thread
-// program-order prefixes. Starting from the prefixes strictly below the two
-// candidate events, the closure saturates four rules:
+// The SP-closure (POPL'21, §4) saturates four rules over an ideal (a
+// union of per-thread program-order prefixes): (po) downward closure along
+// Prev; (read) a read pulls its trace-last writer; (lock) of two included
+// acquires on one lock, the trace-earlier one's release is pulled — kept
+// incrementally as the per-lock maximal acquire, so every included acquire
+// but the maximum has its release included; (thread) a thread's first
+// event pulls its fork, a join pulls the child's last event. See
+// reference/SyncPClosureOracle.cpp for the per-pair form and the argument
+// that the fixpoint is unique whatever the processing order.
 //
-//   (po)    the ideal is program-order downward closed (by construction:
-//           inclusion walks the Prev chain down to the old frontier);
-//   (read)  a read in the ideal pulls its trace-last writer — the trace-
-//           order linearization then shows every read its original writer
-//           (writes between them do not exist in the trace, and later
-//           writes sort after);
-//   (lock)  if two acquires of the same lock are both in the ideal, the
-//           trace-earlier one's release must be too. Incrementally: keep
-//           the maximal included acquire per lock; a newly included
-//           acquire either displaces the maximum (pulling the displaced
-//           one's release) or sits below it (pulling its own release).
-//           Every included acquire except the per-lock maximum therefore
-//           ends with its release included — the linearization has at most
-//           one trailing open section per lock, and sections on one lock
-//           appear in trace order: sync-preserving by construction;
-//   (thread) a thread's first event pulls its fork; a join pulls the
-//           child's last event (program order then closes the child).
-//
-// The pair is a race iff saturation never forces an event at or past
-// either endpoint into its endpoint's thread prefix ("swallowing" the
-// candidate). On success the ideal, linearized in trace order with the two
-// candidates appended, is a correct reordering co-enabling the pair — the
-// witness shape verify/Reordering.h's checkRaceWitness validates, which is
-// how the soundness suite pins this file against the search-based oracle.
-//
-// Rule order does not matter: inclusion is monotone and each event is
-// processed exactly once, so the fixpoint is unique — the incremental
-// (lock) bookkeeping preserves it because "all processed acquires except
-// the current per-lock maximum have their release pulled" is invariant
-// under any processing order.
+// Uniqueness is what makes the checker here incremental. The rules are
+// Horn clauses, so the closure is a closure operator and a base ideal
+// SP(pre(e)) can be reused for every later pair whose e2 is e or follows
+// it on e's thread: advancing the base to a later e2 only adds pre(e2)'s
+// new events and saturates them. A pair is decided by extending the base
+// with pre(e1) under the ceiling "nothing of t1 at or past e1"; the
+// extension's table writes are undo-logged and rolled back, so the base
+// is untouched by the decision. Every member of SP(pre(e1) ∪ pre(e2))
+// precedes e2 in the trace (each rule pulls an event earlier than one
+// already included; a displaced acquire's release precedes the later
+// acquire), so e2 is never swallowed — the per-pair closure's second
+// ceiling is vacuous here — and the checker reads only nodes the commit
+// watermark has published.
 //
 //===----------------------------------------------------------------------===//
 
 #include "syncp/SyncPIndex.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace rapid;
@@ -109,107 +97,71 @@ void SyncPIndex::append(const Event &E, EventIdx Index, bool Publish) {
     Nodes.publish(Index + 1);
 }
 
-namespace {
-
-/// One closure run's working set. Thread/lock tables grow to the ids the
-/// walk actually meets, so mid-stream declarations cost nothing here.
-struct ClosureState {
-  static constexpr EventIdx kNone = SyncPIndex::kNone;
-
-  std::vector<EventIdx> Frontier; ///< Per thread: highest included event.
-  std::vector<EventIdx> MaxAcq;   ///< Per lock: maximal included acquire.
-  std::vector<EventIdx> Pending;  ///< Included, closure rules not yet run.
-  std::vector<EventIdx> Included; ///< Every ideal member, for the witness.
-  EventIdx E1, E2;                ///< The candidates (the ideal's ceiling).
-  ThreadId T1, T2;
-  bool Swallowed = false; ///< A rule demanded an event >= its endpoint.
-
-  EventIdx frontier(uint32_t T) const {
-    return T < Frontier.size() ? Frontier[T] : kNone;
+void SyncPChecker::include(Ideal &I, EventIdx X) {
+  const SyncPIndex::Node &N = Index.node(X);
+  const uint32_t T = N.Thread.value();
+  if (T >= I.End.size())
+    I.End.resize(T + 1, 0);
+  const EventIdx OldEnd = I.End[T];
+  if (OldEnd > X)
+    return;
+  if (Extending && T == CeilT && X >= CeilE) {
+    Swallowed = true;
+    return;
   }
-};
+  if (Extending)
+    Undo.push_back({T, false, OldEnd});
+  I.End[T] = X + 1;
+  for (EventIdx C = X; C != kNone && C >= OldEnd; C = Index.node(C).Prev)
+    Pending.push_back(C);
+}
 
-} // namespace
+void SyncPChecker::seed(Ideal &I, EventIdx E) {
+  const SyncPIndex::Node &N = Index.node(E);
+  if (N.Prev != kNone)
+    include(I, N.Prev);
+  else if (N.Fork != kNone)
+    include(I, N.Fork); // First event: the thread must at least be started.
+}
 
-bool SyncPIndex::isSyncPreservingRace(EventIdx E1, EventIdx E2,
-                                      SyncPTelemetry *Tel,
-                                      std::vector<EventIdx> *WitnessOut) const {
-  assert(E1 < E2 && "candidates must arrive in trace order");
-  ClosureState S;
-  S.E1 = E1;
-  S.E2 = E2;
-  S.T1 = node(E1).Thread;
-  S.T2 = node(E2).Thread;
-
-  // Includes X and, transitively via the Prev chain, its whole program-
-  // order prefix above the thread's current frontier. Fails the closure
-  // when X reaches an endpoint's own suffix — the reordering would have to
-  // *execute* the candidate, which is exactly what co-enabledness forbids.
-  auto include = [this, &S](EventIdx X) {
-    const uint32_t T = node(X).Thread.value();
-    const EventIdx Old = S.frontier(T);
-    if (Old != ClosureState::kNone && Old >= X)
-      return;
-    if ((node(X).Thread == S.T1 && X >= S.E1) ||
-        (node(X).Thread == S.T2 && X >= S.E2)) {
-      S.Swallowed = true;
-      return;
-    }
-    if (T >= S.Frontier.size())
-      S.Frontier.resize(T + 1, ClosureState::kNone);
-    S.Frontier[T] = X;
-    for (EventIdx C = X; C != Old; C = node(C).Prev) {
-      S.Pending.push_back(C);
-      if (node(C).Prev == ClosureState::kNone)
-        break; // Thread's first event; Old is kNone.
-    }
-  };
-
-  auto seed = [this, &include](EventIdx E) {
-    const Node &N = node(E);
-    if (N.Prev != kNone)
-      include(N.Prev);
-    else if (N.Fork != kNone)
-      include(N.Fork); // First event: the thread must at least be started.
-  };
-  seed(E1);
-  seed(E2);
-
-  while (!S.Pending.empty() && !S.Swallowed) {
-    const EventIdx X = S.Pending.back();
-    S.Pending.pop_back();
-    S.Included.push_back(X);
-    const Node &N = node(X);
+uint64_t SyncPChecker::saturate(Ideal &I) {
+  uint64_t Processed = 0;
+  while (!Pending.empty() && !Swallowed) {
+    const EventIdx X = Pending.back();
+    Pending.pop_back();
+    ++Processed;
+    // Field by field, never a Node copy: an open acquire's Aux may be
+    // backfilled concurrently by the clock pass.
+    const SyncPIndex::Node &N = Index.node(X);
     if (N.Prev == kNone && N.Fork != kNone)
-      include(N.Fork);
+      include(I, N.Fork);
     switch (N.Kind) {
     case EventKind::Read:
     case EventKind::Join:
       if (N.Aux != kNone)
-        include(N.Aux);
+        include(I, N.Aux);
       break;
     case EventKind::Acquire: {
-      if (N.Target >= S.MaxAcq.size())
-        S.MaxAcq.resize(N.Target + 1, ClosureState::kNone);
-      EventIdx &Max = S.MaxAcq[N.Target];
-      EventIdx NeedsRelease = kNone;
-      if (Max == ClosureState::kNone) {
-        Max = X;
-      } else if (X > Max) {
+      const uint32_t L = N.Target;
+      if (L >= I.MaxAcq.size())
+        I.MaxAcq.resize(L + 1, kNone);
+      const EventIdx Max = I.MaxAcq[L];
+      EventIdx NeedsRelease = X;
+      if (Max == kNone || X > Max) {
+        if (Extending)
+          Undo.push_back({L, true, Max});
+        I.MaxAcq[L] = X;
         NeedsRelease = Max;
-        Max = X;
-      } else {
-        NeedsRelease = X;
       }
       if (NeedsRelease != kNone) {
-        // A displaced acquire sits trace-before another included acquire
-        // on the same lock, so its section closed before that acquire:
-        // the release exists and was backfilled before anything after it
-        // was published.
-        const EventIdx Rel = node(NeedsRelease).Aux;
+        // A non-maximal acquire sits trace-before another included acquire
+        // on the same lock, so its section closed before that acquire: the
+        // release exists and was backfilled before anything after it was
+        // published.
+        const EventIdx Rel = Index.node(NeedsRelease).Aux;
         assert(Rel != kNone && "non-maximal section must be closed");
         if (Rel != kNone)
-          include(Rel);
+          include(I, Rel);
       }
       break;
     }
@@ -217,20 +169,53 @@ bool SyncPIndex::isSyncPreservingRace(EventIdx E1, EventIdx E2,
       break;
     }
   }
+  Pending.clear();
+  return Processed;
+}
 
-  if (Tel) {
-    Tel->CandidatePairs.fetch_add(1, std::memory_order_relaxed);
-    Tel->ClosureIterations.fetch_add(S.Included.size(),
-                                     std::memory_order_relaxed);
-    Tel->noteIdeal(S.Included.size());
+void SyncPChecker::rollback(Ideal &I) {
+  for (auto It = Undo.rbegin(); It != Undo.rend(); ++It)
+    (It->IsLock ? I.MaxAcq : I.End)[It->Id] = It->Old;
+  Undo.clear();
+}
+
+bool SyncPChecker::isSyncPreservingRace(EventIdx E1, EventIdx E2) {
+  assert(E1 < E2 && "candidates must arrive in trace order");
+  const uint32_t T1 = Index.node(E1).Thread.value();
+  const uint32_t T2 = Index.node(E2).Thread.value();
+  if (T2 >= Bases.size())
+    Bases.resize(T2 + 1);
+  Ideal &B = Bases[T2];
+
+  // Advance the base to SP(pre(E2)), uncapped; the writes are kept.
+  assert((B.Anchor == kNone || B.Anchor <= E2) && "bases only advance");
+  uint64_t Work = 0;
+  if (B.Anchor != E2) {
+    seed(B, E2);
+    Work = saturate(B);
+    B.Size += Work;
+    B.Anchor = E2;
   }
-  if (S.Swallowed)
-    return false;
-  if (WitnessOut) {
-    std::sort(S.Included.begin(), S.Included.end());
-    S.Included.push_back(E1);
-    S.Included.push_back(E2);
-    *WitnessOut = std::move(S.Included);
+
+  // Decide: SP(B ∪ pre(E1)) must not reach E1. It cannot reach E2: every
+  // member precedes E2 (file comment), so E1's ceiling is the only one.
+  assert(T2 >= B.End.size() || B.End[T2] <= E2);
+  bool Race = false;
+  uint64_t Extension = 0;
+  if (T1 >= B.End.size() || B.End[T1] <= E1) {
+    CeilT = T1;
+    CeilE = E1;
+    Extending = true;
+    seed(B, E1);
+    Extension = saturate(B);
+    Race = !Swallowed;
+    rollback(B);
+    Extending = false;
+    Swallowed = false;
   }
-  return true;
+
+  Tel.CandidatePairs.fetch_add(1, std::memory_order_relaxed);
+  Tel.ClosureIterations.fetch_add(Work + Extension, std::memory_order_relaxed);
+  Tel.noteIdeal(B.Size + Extension);
+  return Race;
 }

@@ -7,13 +7,14 @@
 /// \file
 /// The per-event index the sync-preserving closure walks (after Mathur,
 /// Pavlogiannis, Viswanathan, "Optimal Prediction of Synchronization-
-/// Preserving Races", POPL'21 — PAPERS.md). A *sync-preserving* correct
+/// Preserving Races", POPL'21 — PAPERS.md), and the incremental checker
+/// that decides candidate pairs over it. A *sync-preserving* correct
 /// reordering may drop critical sections entirely, but any two sections on
 /// the same lock that both survive must keep their trace order; a pair of
 /// conflicting events is a sync-preserving race iff some such reordering
-/// co-enables both. The POPL'21 insight is that this is decidable per pair
-/// by a backward *closure* over trace prefixes (the "ideal"), in time
-/// linear in the prefix — no enumeration of reorderings.
+/// co-enables both. The POPL'21 insight is that this is decidable by a
+/// backward *closure* over trace prefixes (the "ideal") — no enumeration
+/// of reorderings.
 ///
 /// The index stores, per event, exactly the edges the closure pulls
 /// through:
@@ -27,9 +28,15 @@
 /// Nodes live in a PublishedStore indexed by event index: a single writer
 /// (the detector's clock pass) appends in trace order while shard drains
 /// read published prefixes in place, which is what lets the var-sharded
-/// streamed mode run closures concurrently with ingestion. All writer-side
+/// streamed mode run checks concurrently with ingestion. All writer-side
 /// tables grow on first touch, so threads/locks/vars declared mid-stream
 /// are admitted in O(1) — no restarts, same as every other lane.
+///
+/// SyncPChecker decides pairs in linear total work: it keeps one ideal per
+/// thread that only ever grows along that thread, and extends it by the
+/// other endpoint's prefix per candidate, then rolls the extension back.
+/// reference/SyncPClosureOracle is the per-pair closure it is pinned
+/// against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,14 +52,16 @@
 
 namespace rapid {
 
-/// Telemetry shared by the sequential check path and every shard replayer
-/// of one detector instance. Relaxed atomics: increments happen on shard
-/// drains while Detector::telemetry() reads mid-stream under the lane
-/// snapshot lock — counts are monotone and exact once drains quiesce.
+/// Telemetry shared by the sequential checker and every shard replayer's
+/// checker of one detector instance. Relaxed atomics: increments happen on
+/// shard drains while Detector::telemetry() reads mid-stream under the
+/// lane snapshot lock — counts are monotone and exact once drains quiesce.
 struct SyncPTelemetry {
-  std::atomic<uint64_t> CandidatePairs{0};   ///< Closures attempted.
-  std::atomic<uint64_t> ClosureIterations{0};///< Events pulled into ideals.
-  std::atomic<uint64_t> IdealPeak{0};        ///< Largest single ideal.
+  std::atomic<uint64_t> CandidatePairs{0};    ///< Pairs decided.
+  std::atomic<uint64_t> ClosureIterations{0}; ///< Events processed by base
+                                              ///< advances and extensions.
+  std::atomic<uint64_t> IdealPeak{0}; ///< Largest base ∪ extension ideal
+                                      ///< at decision time.
 
   void noteIdeal(uint64_t Size) {
     uint64_t Cur = IdealPeak.load(std::memory_order_relaxed);
@@ -62,7 +71,7 @@ struct SyncPTelemetry {
   }
 };
 
-/// Append-only event index + the SP-closure itself.
+/// Append-only event index of the closure's edges.
 class SyncPIndex {
 public:
   static constexpr EventIdx kNone = UINT64_MAX;
@@ -93,17 +102,6 @@ public:
 
   uint64_t size() const { return Nodes.size(); }
 
-  /// Decides whether the conflicting pair (\p E1, \p E2), E1 < E2, is a
-  /// sync-preserving race: computes the SP-closure of the pair's program-
-  /// order prefixes and succeeds iff no rule forces an event at or past
-  /// either endpoint into the ideal. On success, \p WitnessOut (if
-  /// non-null) receives a full witness schedule — the ideal in trace
-  /// order, then E1, E2 — valid under verify/Reordering's
-  /// checkRaceWitness. \p Tel (if non-null) accumulates closure telemetry.
-  /// Cost: O(|ideal|) ⊆ O(E2) per call.
-  bool isSyncPreservingRace(EventIdx E1, EventIdx E2, SyncPTelemetry *Tel,
-                            std::vector<EventIdx> *WitnessOut) const;
-
 private:
   static void ensure(std::vector<EventIdx> &V, uint32_t I) {
     if (I >= V.size())
@@ -111,12 +109,82 @@ private:
   }
 
   PublishedStore<Node> Nodes;
-  // Writer-side chain heads; never read by closures (closures reach the
+  // Writer-side chain heads; never read by checkers (checkers reach the
   // same facts through node edges, which is what makes them shard-safe).
   std::vector<EventIdx> LastOfThread; ///< Per thread: last event.
   std::vector<EventIdx> ForkOf;       ///< Per thread: its fork event.
   std::vector<EventIdx> OpenAcq;      ///< Per lock: open acquire.
   std::vector<EventIdx> LastWrite;    ///< Per var: last write.
+};
+
+/// Incremental SP-closure checker over a SyncPIndex. The closure is a
+/// closure operator, so SP(pre(e1) ∪ pre(e2)) = SP(SP(pre(e2)) ∪ pre(e1)):
+/// the checker keeps, per thread t, a *base* ideal SP(pre(e)) for the
+/// latest e of t it was asked about, advances it when a later e2 of t
+/// arrives, and decides each pair by extending the base with pre(e1)
+/// under the ceiling e1. Every frontier and lock-maximum write of the
+/// extension is undo-logged and rolled back after the decision. Since a
+/// thread's e2s arrive in increasing order (in the sequential walk and in
+/// each shard's replay), each base processes every event at most once:
+/// O(N·T) base work per checker, plus the extensions.
+///
+/// Each checker is single-threaded; the sequential detector and every
+/// shard replayer own one apiece over the shared, read-only index. Every
+/// node a base reaches precedes its e2, so the reader-side visibility
+/// contract of SyncPIndex::node covers it.
+class SyncPChecker {
+public:
+  SyncPChecker(const SyncPIndex &Index, SyncPTelemetry &Tel)
+      : Index(Index), Tel(Tel) {}
+
+  /// Decides whether the conflicting pair (\p E1, \p E2), E1 < E2 on
+  /// different threads, is a sync-preserving race: true iff the SP-closure
+  /// of both program-order prefixes contains neither endpoint. Per thread,
+  /// successive \p E2s must not decrease.
+  bool isSyncPreservingRace(EventIdx E1, EventIdx E2);
+
+private:
+  static constexpr EventIdx kNone = SyncPIndex::kNone;
+
+  /// An ideal: per-thread prefixes plus the per-lock maximal acquire.
+  /// Tables grow to the ids the closure meets, never up front.
+  struct Ideal {
+    std::vector<EventIdx> End;    ///< Per thread: one past the highest
+                                  ///< included event (0: none).
+    std::vector<EventIdx> MaxAcq; ///< Per lock: maximal included acquire.
+    EventIdx Anchor = kNone;      ///< The e whose pre(e) this closes.
+    uint64_t Size = 0;            ///< Events included.
+  };
+
+  /// Includes \p X and its program-order prefix in \p I, queueing the new
+  /// events for saturate(); sets Swallowed instead if X reaches the
+  /// ceiling.
+  void include(Ideal &I, EventIdx X);
+  /// Includes the program-order prefix strictly below \p E.
+  void seed(Ideal &I, EventIdx E);
+  /// Runs the closure rules to a fixpoint or the first swallow; returns
+  /// the number of events processed.
+  uint64_t saturate(Ideal &I);
+  /// Restores every write the current extension logged.
+  void rollback(Ideal &I);
+
+  const SyncPIndex &Index;
+  SyncPTelemetry &Tel;
+  std::vector<Ideal> Bases; ///< Per thread, grown on first touch.
+  std::vector<EventIdx> Pending; ///< Included, rules not yet run.
+  /// One logged write: End[Id] or, for IsLock, MaxAcq[Id] held Old.
+  struct UndoEntry {
+    uint32_t Id;
+    bool IsLock;
+    EventIdx Old;
+  };
+  std::vector<UndoEntry> Undo; ///< The current extension's writes.
+  /// While Extending: writes are logged for rollback, and including an
+  /// event of CeilT at or past CeilE (the pair's e1) swallows the pair.
+  bool Extending = false;
+  uint32_t CeilT = 0;
+  EventIdx CeilE = kNone;
+  bool Swallowed = false;
 };
 
 } // namespace rapid

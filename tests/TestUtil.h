@@ -106,6 +106,33 @@ inline DetectorFactory hbThrowingAt(uint64_t N) {
   return [N](const Trace &T) { return std::make_unique<ThrowingHb>(T, N); };
 }
 
+/// Feeds \p T into \p S one event at a time, declaring every name in
+/// table order just before its first use (so the session's ids match
+/// \p T's): a thread, lock or variable first seen mid-stream grows lane
+/// state in place while the lanes consume behind the producer.
+inline void feedDeclaringLazily(AnalysisSession &S, const Trace &T,
+                                const std::string &Label) {
+  uint32_t Threads = 0, Locks = 0, Vars = 0, Locs = 0;
+  for (EventIdx I = 0; I != T.size(); ++I) {
+    const Event &E = T.event(I);
+    uint32_t MaxThread = E.Thread.value();
+    if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
+      MaxThread = std::max(MaxThread, E.targetThread().value());
+    for (; Threads <= MaxThread; ++Threads)
+      S.declareThread(T.threadName(ThreadId(Threads)));
+    if (E.Kind == EventKind::Acquire || E.Kind == EventKind::Release)
+      for (; Locks <= E.lock().value(); ++Locks)
+        S.declareLock(T.lockName(LockId(Locks)));
+    if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
+      for (; Vars <= E.var().value(); ++Vars)
+        S.declareVar(T.varName(VarId(Vars)));
+    for (; Locs <= E.Loc.value(); ++Locs)
+      S.declareLoc(T.locName(LocId(Locs)));
+    Status Fed = S.feed(E);
+    ASSERT_TRUE(Fed.ok()) << Label << ": " << Fed.str();
+  }
+}
+
 /// Streams \p T into one session per run mode — every name declared just
 /// before its first use, events fed one at a time to lanes that consume
 /// behind the producer, so a thread, lock or variable first seen
@@ -130,25 +157,9 @@ inline void expectStreamedModesMatchOracles(
       Cfg.VarShards = 3;
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.status().ok()) << S.status().str();
-    uint32_t Threads = 0, Locks = 0, Vars = 0, Locs = 0;
-    for (EventIdx I = 0; I != T.size(); ++I) {
-      const Event &E = T.event(I);
-      uint32_t MaxThread = E.Thread.value();
-      if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
-        MaxThread = std::max(MaxThread, E.targetThread().value());
-      for (; Threads <= MaxThread; ++Threads)
-        S.declareThread(T.threadName(ThreadId(Threads)));
-      if (E.Kind == EventKind::Acquire || E.Kind == EventKind::Release)
-        for (; Locks <= E.lock().value(); ++Locks)
-          S.declareLock(T.lockName(LockId(Locks)));
-      if (E.Kind == EventKind::Read || E.Kind == EventKind::Write)
-        for (; Vars <= E.var().value(); ++Vars)
-          S.declareVar(T.varName(VarId(Vars)));
-      for (; Locs <= E.Loc.value(); ++Locs)
-        S.declareLoc(T.locName(LocId(Locs)));
-      Status Fed = S.feed(E);
-      ASSERT_TRUE(Fed.ok()) << Label << ": " << Fed.str();
-    }
+    feedDeclaringLazily(S, T, Label);
+    if (::testing::Test::HasFatalFailure())
+      return;
     AnalysisResult R = S.finish();
     ASSERT_TRUE(R.ok()) << Label << ": " << R.firstError().str();
     ASSERT_EQ(R.Lanes.size(), Kinds.size()) << Label;

@@ -2,7 +2,7 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// Pins the SyncP lane (src/syncp/) three ways:
+// Pins the SyncP lane (src/syncp/) four ways:
 //
 //  * separation — hand-built gadgets where the sync-preserving closure
 //    finds a race WCP provably orders away (the POPL'21 motivation: a
@@ -16,15 +16,22 @@
 //  * mode equivalence — sequential, windowed and var-sharded runs
 //    are bit-for-bit identical (the repo-wide determinism contract; the
 //    differential and growth fuzzers extend this across the adversarial
-//    workload matrix).
+//    workload matrix), and identical to an oracle lane that decides every
+//    candidate with the per-pair closure (reference/SyncPClosureOracle)
+//    instead of the lane's incremental checker;
+//  * linear work — the checker's closure work per event and thread stays
+//    flat as the trace grows tenfold.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "api/AnalysisSession.h"
+#include "detect/AccessHistory.h"
+#include "detect/DetectorRunner.h"
 #include "gen/PaperTraces.h"
 #include "gen/RandomTraceGen.h"
 #include "reference/ClosureEngine.h"
+#include "reference/SyncPClosureOracle.h"
 #include "syncp/SyncPDetector.h"
 #include "trace/TraceBuilder.h"
 #include "verify/WitnessSearch.h"
@@ -36,23 +43,16 @@ using namespace rapid;
 
 namespace {
 
-/// Rebuilds the closure index for \p T (what the detector builds online).
-void buildIndex(const Trace &T, SyncPIndex &Idx) {
-  for (EventIdx I = 0; I != T.size(); ++I)
-    Idx.append(T.event(I), I, /*Publish=*/false);
-}
-
 /// Asserts that every race in \p Report has a closure witness that the
 /// correct-reordering checker accepts — the detector's soundness argument,
 /// executed.
 void expectAllWitnessed(const Trace &T, const RaceReport &Report,
                         const std::string &Label) {
-  SyncPIndex Idx;
-  buildIndex(T, Idx);
+  SyncPClosureOracle Oracle(T);
   for (const RaceInstance &R : Report.instances()) {
     std::vector<EventIdx> Witness;
     ASSERT_TRUE(
-        Idx.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, nullptr, &Witness))
+        Oracle.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Witness))
         << Label << ": reported race lost its closure witness: " << R.str(T);
     ReorderingCheck C = checkRaceWitness(T, Witness);
     EXPECT_TRUE(C.Ok) << Label << ": closure witness for " << R.str(T)
@@ -106,6 +106,94 @@ Trace gadgetNoRaceVariant() {
   B.write("t1", "x").acquire("t1", "l").write("t1", "y").release("t1", "l");
   B.acquire("t2", "l").read("t2", "y").release("t2", "l").write("t2", "x");
   return testutil::takeValid(B, /*RequireClosedSections=*/true);
+}
+
+/// The reference SyncP lane, rebuilt from independent parts: thread-order
+/// clocks (program order plus fork/join, implicit-zero growth), the same
+/// AccessHistory candidate enumeration, and every candidate decided by the
+/// per-pair closure oracle instead of the incremental checker.
+class OracleSyncPLane : public Detector {
+public:
+  explicit OracleSyncPLane(const Trace &T) : Oracle(T), History(0, 0) {}
+
+  std::string name() const override { return "SyncP"; }
+
+  void processEvent(const Event &E, EventIdx Idx) override {
+    const ThreadId T = E.Thread;
+    if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
+      clock(E.targetThread()); // Grow before taking references.
+    VectorClock &Ct = clock(T);
+    switch (E.Kind) {
+    case EventKind::Fork:
+      Clocks[E.targetThread().value()].joinWith(Ct);
+      Ct.set(T, Ct.get(T) + 1);
+      break;
+    case EventKind::Join:
+      Ct.joinWith(Clocks[E.targetThread().value()]);
+      break;
+    case EventKind::Read:
+    case EventKind::Write: {
+      std::vector<RaceInstance> Found;
+      if (E.Kind == EventKind::Write)
+        History.checkWrite(E.var(), T, Ct, E.Loc, Idx, Found);
+      else
+        History.checkRead(E.var(), T, Ct, E.Loc, Idx, Found);
+      for (const RaceInstance &R : Found)
+        if (Oracle.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx))
+          Report.addRace(R);
+      if (E.Kind == EventKind::Write)
+        History.recordWrite(E.var(), T, Ct.get(T), E.Loc, Idx);
+      else
+        History.recordRead(E.var(), T, Ct.get(T), E.Loc, Idx);
+      break;
+    }
+    default:
+      break;
+    }
+  }
+
+private:
+  VectorClock &clock(ThreadId T) {
+    while (Clocks.size() <= T.value()) {
+      Clocks.emplace_back();
+      Clocks.back().set(ThreadId(Clocks.size() - 1), 1);
+    }
+    return Clocks[T.value()];
+  }
+
+  SyncPClosureOracle Oracle;
+  AccessHistory History;
+  std::vector<VectorClock> Clocks;
+};
+
+RaceReport oracleReport(const Trace &T, uint64_t WindowEvents = 0) {
+  return runDetectorWindowed(
+             [](const Trace &F) { return std::make_unique<OracleSyncPLane>(F); },
+             T, WindowEvents)
+      .Report;
+}
+
+/// The perfbench syncp_dense shape: a lock-dense random program.
+RandomTraceParams denseParams(uint32_t OpsPerThread) {
+  RandomTraceParams P;
+  P.Seed = 1;
+  P.NumThreads = 4;
+  P.NumLocks = 4;
+  P.NumVars = 64;
+  P.OpsPerThread = OpsPerThread;
+  P.MaxLockNesting = 2;
+  P.ReleasePercent = 25;
+  return P;
+}
+
+uint64_t telemetrySample(const Detector &D, const std::string &Name) {
+  std::vector<MetricSample> Tel;
+  D.telemetry(Tel);
+  for (const MetricSample &S : Tel)
+    if (S.Name == Name)
+      return S.Value;
+  ADD_FAILURE() << Name << " sample missing";
+  return 0;
 }
 
 RandomTraceParams smallParams(uint64_t Seed) {
@@ -172,11 +260,10 @@ TEST(SyncPClosure, SameLockSectionsAreNotRacy) {
   B.acquire("t1", "l").write("t1", "x").release("t1", "l");
   B.acquire("t2", "l").write("t2", "x").release("t2", "l");
   Trace T = testutil::takeValid(B, true);
-  SyncPIndex Idx;
-  buildIndex(T, Idx);
+  SyncPClosureOracle Oracle(T);
   // w(x)@1 vs w(x)@4: including acq@3 displaces acq@0 as the lock maximum
   // and demands rel@2 — past w(x)@1 in its thread, swallowing it.
-  EXPECT_FALSE(Idx.isSyncPreservingRace(1, 4, nullptr, nullptr));
+  EXPECT_FALSE(Oracle.isSyncPreservingRace(1, 4));
   EXPECT_EQ(testutil::run<SyncPDetector>(T).numDistinctPairs(), 0u);
 }
 
@@ -184,10 +271,9 @@ TEST(SyncPClosure, UnprotectedConflictIsRacyWithMinimalIdeal) {
   TraceBuilder B;
   B.write("t1", "x").write("t2", "x");
   Trace T = testutil::takeValid(B, true);
-  SyncPIndex Idx;
-  buildIndex(T, Idx);
+  SyncPClosureOracle Oracle(T);
   std::vector<EventIdx> Witness;
-  ASSERT_TRUE(Idx.isSyncPreservingRace(0, 1, nullptr, &Witness));
+  ASSERT_TRUE(Oracle.isSyncPreservingRace(0, 1, &Witness));
   // Empty ideal: just the two candidates.
   EXPECT_EQ(Witness, (std::vector<EventIdx>{0, 1}));
   EXPECT_TRUE(checkRaceWitness(T, Witness).Ok);
@@ -332,4 +418,91 @@ TEST(SyncPTelemetry, VarShardedRunCountsItsClosureWork) {
     if (S.Name == "syncp.candidate_pairs")
       Candidates = S.Value;
   EXPECT_GE(Candidates, 1u);
+}
+
+// ---- The incremental checker against the per-pair oracle --------------------
+
+class SyncPOracleLaneTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// Every mode's SyncP report is bit-identical to the oracle lane's (the
+/// plain windowed loop over the oracle lane in Windowed mode), in batch
+/// and when streamed with every name declared just before its first use.
+TEST_P(SyncPOracleLaneTest, EveryModeMatchesTheClosureOracle) {
+  const uint64_t Seed = GetParam();
+  static constexpr uint32_t ReleasePercents[] = {5, 25, 60};
+  RandomTraceParams P;
+  P.Seed = Seed;
+  P.NumThreads = 2 + Seed % 4;
+  P.NumLocks = 1 + (Seed / 2) % 4;
+  P.NumVars = 2 + Seed % 5;
+  P.OpsPerThread = 15 + Seed % 21;
+  P.MaxLockNesting = 1 + Seed % 3;
+  P.ReleasePercent = ReleasePercents[(Seed / 3) % 3];
+  P.WithForkJoin = (Seed / 9) % 2 == 1;
+  const Trace T = randomTrace(P);
+  const std::string Label = "seed " + std::to_string(Seed);
+  const uint64_t Window = 8 + Seed % 17;
+
+  const RaceReport Want = oracleReport(T);
+  const RaceReport WantWindowed = oracleReport(T, Window);
+  testutil::expectSameReport(runMode(T, RunMode::Sequential), Want, T,
+                             Label + " sequential");
+  testutil::expectSameReport(runMode(T, RunMode::Windowed, Window),
+                             WantWindowed, T, Label + " windowed");
+  for (uint32_t Shards = 1; Shards <= 4; ++Shards)
+    testutil::expectSameReport(runMode(T, RunMode::VarSharded, 0, Shards),
+                               Want, T,
+                               Label + " var-sharded x" +
+                                   std::to_string(Shards));
+
+  // Streamed, names declared mid-stream: one mode per seed, in rotation.
+  AnalysisConfig Cfg;
+  Cfg.addDetector(DetectorKind::SyncP);
+  Cfg.Mode = Seed % 3 == 0   ? RunMode::Sequential
+             : Seed % 3 == 1 ? RunMode::Windowed
+                             : RunMode::VarSharded;
+  Cfg.WindowEvents = Cfg.Mode == RunMode::Windowed ? Window : 0;
+  Cfg.VarShards = Cfg.Mode == RunMode::VarSharded ? 1 + Seed % 4 : 0;
+  Cfg.StreamBatchEvents = 1 + Seed % 5;
+  Cfg.Threads = 2;
+  AnalysisSession S(Cfg);
+  ASSERT_TRUE(S.status().ok()) << S.status().str();
+  testutil::feedDeclaringLazily(S, T, Label);
+  if (HasFatalFailure())
+    return;
+  AnalysisResult R = S.finish();
+  ASSERT_TRUE(R.ok()) << Label << ": " << R.firstError().str();
+  testutil::expectSameReport(R.Lanes.front().Report,
+                             Cfg.Mode == RunMode::Windowed ? WantWindowed
+                                                           : Want,
+                             T,
+                             Label + " streamed " + runModeName(Cfg.Mode));
+}
+
+INSTANTIATE_TEST_SUITE_P(Fuzz, SyncPOracleLaneTest,
+                         ::testing::Range<uint64_t>(1, 201));
+
+// ---- Linear work -------------------------------------------------------------
+
+/// Closure work per event per thread must not grow with trace length: a
+/// 10x longer syncp_dense-shaped trace may at most double it. (A closure
+/// rebuilt per pair re-walks its prefix and reads 394 then 6,623 here.)
+/// Deterministic: the counter is an exact event count.
+TEST(SyncPLinearWork, ClosureWorkPerEventStaysFlatAtTenTimesTheLength) {
+  double PerEventThread[2];
+  uint32_t Ops[2] = {600, 6000};
+  for (int I = 0; I != 2; ++I) {
+    const Trace T = randomTrace(denseParams(Ops[I]));
+    SyncPDetector D(T);
+    runDetector(D, T);
+    ASSERT_GT(telemetrySample(D, "syncp.candidate_pairs"), 0u);
+    const uint64_t Iterations =
+        telemetrySample(D, "syncp.closure_iterations");
+    ASSERT_GT(Iterations, 0u);
+    PerEventThread[I] = static_cast<double>(Iterations) /
+                        (static_cast<double>(T.size()) * T.numThreads());
+  }
+  EXPECT_LE(PerEventThread[1], 2.0 * PerEventThread[0])
+      << "closure iterations per event x thread: " << PerEventThread[0]
+      << " at 2.4K events, " << PerEventThread[1] << " at 24K";
 }
