@@ -50,21 +50,42 @@ VectorClock WcpDetector::currentC(ThreadId T) const {
   return C;
 }
 
-bool WcpDetector::frontLeqCt(ClockSpan Front, const WcpThreadState &TS,
+bool WcpDetector::frontLeqCt(WcpTime Front, const WcpThreadState &TS,
                              ThreadId T) const {
   // The guard tests "acquire ordered before this release" — hard
   // (fork/join) order counts, so the comparison is against P_t ⊔ K_t.
-  // Only Front's physical components can exceed anything (the implicit
-  // tail is 0), so the loop bound is Front's size, not the thread count.
-  for (uint32_t U = 0, E = Front.Size; U < E; ++U) {
-    ClockValue Mine =
-        U == T.value()
-            ? TS.N
-            : std::max(TS.P.get(ThreadId(U)), TS.K.get(ThreadId(U)));
-    if (Front.Data[U] > Mine)
+  // Only Front's physical components and its owner's can exceed anything
+  // (the implicit tail is 0), so the loop bound is the version's width,
+  // not the thread count.
+  auto Mine = [&](uint32_t U) {
+    return U == T.value()
+               ? TS.N
+               : std::max(TS.P.get(ThreadId(U)), TS.K.get(ThreadId(U)));
+  };
+  if (Front.N > Mine(Front.Owner))
+    return false;
+  for (uint32_t U = 0, E = Front.Base.Size; U < E; ++U)
+    if (U != Front.Owner && Front.Base.Data[U] > Mine(U))
       return false;
-  }
   return true;
+}
+
+WcpClockVersions::Handle WcpDetector::pVersion(WcpThreadState &TS) {
+  if (TS.PVerEpoch != TS.PEpoch) {
+    Versions.release(TS.PVer);
+    TS.PVer = Versions.snapshot(TS.P);
+    TS.PVerEpoch = TS.PEpoch;
+  }
+  return TS.PVer;
+}
+
+WcpClockVersions::Handle WcpDetector::hVersion(WcpThreadState &TS) {
+  if (TS.HVerEpoch != TS.HEpoch) {
+    Versions.release(TS.HVer);
+    TS.HVer = Versions.snapshot(TS.H);
+    TS.HVerEpoch = TS.HEpoch;
+  }
+  return TS.HVer;
 }
 
 void WcpDetector::ensureThread(ThreadId T) {
@@ -102,14 +123,14 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
   // point *any* release of this lock publishes a P_ℓ ⊒ ReleaseTime, and
   // a future thread must acquire (joining P_ℓ) before it can release and
   // walk the queue — its pop of the entry would be a no-op join. New
-  // cursors therefore start at Base (WcpLockState::thread).
+  // cursors therefore start at Base (WcpLockState::touch).
   uint64_t End = LS.collectibleEnd(NumThreads);
   while (LS.Base < End && LS.numRecords() != 0) {
-    WcpQueueEntry E = LS.entry(LS.Base);
-    if (!E.hasRelease() ||
-        !E.releaseTime().lessOrEqual(Threads[E.thread().value()].P))
+    const WcpRecord &R = LS.record(LS.Base);
+    if (!R.hasRelease() ||
+        !R.releaseTime(Versions).lessOrEqual(Threads[R.Owner].P))
       break;
-    LS.popFront();
+    LS.popFront(Versions);
     QueuedWeight -= 2;
   }
 }
@@ -150,8 +171,9 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   // Lines 1-2: receive the H/P times of the last release of ℓ (no-ops if
   // that release was our own).
   if (LS.LastReleaser != T.value()) {
-    TS.H.joinWith(LS.H());
-    if (TS.P.joinWith(LS.P()))
+    if (LS.H(Versions).joinInto(TS.H))
+      ++TS.HEpoch;
+    if (TS.P.joinWith(LS.P(Versions)))
       ++TS.PEpoch;
   }
 
@@ -160,18 +182,17 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   if (!LS.touched(T.value())) {
     uint64_t Pending = 0;
     for (uint64_t I = LS.Base; I < LS.logicalEnd(); ++I) {
-      WcpQueueEntry E = LS.entry(I);
-      if (E.thread() != T)
-        Pending += E.hasRelease() ? 2 : 1;
+      const WcpRecord &R = LS.record(I);
+      if (R.Owner != T.value())
+        Pending += R.hasRelease() ? 2 : 1;
     }
-    LS.touch(T.value());
-    LS.thread(T.value()).Live = Pending;
+    LS.touch(T.value()).Live = Pending;
     bumpLive(static_cast<int64_t>(Pending));
   }
 
   // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared record
   // stands for all T-1 abstract copies.
-  uint64_t LogicalIdx = LS.pushAcquire(T, TS.P, TS.N, NumThreads);
+  uint64_t LogicalIdx = LS.pushAcquire(T, TS.N, pVersion(TS), Versions);
   ++QueuedWeight;
   enqueueForOthers(LS, T);
   Stats.MaxSharedQueueEntries =
@@ -194,17 +215,17 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
-    while (Cur < LS.logicalEnd() && LS.entry(Cur).thread() == T)
+    while (Cur < LS.logicalEnd() && LS.record(Cur).Owner == T.value())
       ++Cur;
     if (Cur >= LS.logicalEnd())
       break;
-    WcpQueueEntry Front = LS.entry(Cur);
-    if (!frontLeqCt(Front.acquireTime(), TS, T))
+    const WcpRecord &Front = LS.record(Cur);
+    if (!frontLeqCt(Front.acquireTime(Versions), TS, T))
       break;
     // Lock semantics guarantees this critical section closed before our
     // matching acquire, so its release time is present (see WcpState.h).
     assert(Front.hasRelease() && "popping an open critical section");
-    if (TS.P.joinWith(Front.releaseTime()))
+    if (Front.releaseTime(Versions).joinInto(TS.P))
       ++TS.PEpoch;
     ++Cur;
     bumpAbstract(-2); // One entry leaves Acq_ℓ(T) and one leaves Rel_ℓ(T).
@@ -215,8 +236,9 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
 
   // Lines 7-8: Rule (a) bookkeeping. Publish H_t into L^r/L^w for every
   // variable this critical section read (R) or wrote (W): the access-log
-  // suffix since its acquire. Hand-over-hand locking means the released
-  // section need not be the innermost one.
+  // suffix since its acquire. The cells point at the section's queue
+  // record, whose H_rel Line 10 sets to the same H_t. Hand-over-hand
+  // locking means the released section need not be the innermost one.
   size_t FrameIdx = TS.CsStack.size();
   for (size_t K = TS.CsStack.size(); K-- > 0;) {
     if (TS.CsStack[K].Lock == L) {
@@ -234,7 +256,8 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
       std::unique(ReleaseScratch.begin(), ReleaseScratch.end()),
       ReleaseScratch.end());
   for (uint64_t A : ReleaseScratch)
-    Releases.store(L, VarId(static_cast<uint32_t>(A >> 1)), A & 1, T, TS.H);
+    Releases.store(L, VarId(static_cast<uint32_t>(A >> 1)), A & 1, T,
+                   Frame.EntryLogicalIdx);
 
   // The log prefix before the outermost open section's start is dead;
   // drop it once it is at least half the log (amortized O(1) per access).
@@ -249,11 +272,12 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   }
 
   // Line 9: this release becomes the last release of ℓ.
-  LS.setLastRelease(T, TS.P, TS.H);
+  const WcpClockVersions::Handle HVer = hVersion(TS);
+  LS.setLastRelease(T, TS.N, pVersion(TS), HVer, Versions);
 
   // Line 10: enqueue H_t into Rel_ℓ(t') for t' ≠ t — i.e. complete the
   // shared record our matching acquire created.
-  LS.completeRelease(Frame.EntryLogicalIdx, T, TS.H);
+  LS.completeRelease(Frame.EntryLogicalIdx, T, TS.N, HVer, Versions);
   ++QueuedWeight;
   enqueueForOthers(LS, T);
 
@@ -272,10 +296,26 @@ void WcpDetector::ruleAOnAccess(WcpThreadState &TS, ThreadId T, VarId X,
   // threads whose sections wrote x (or, for a write, read or wrote x)
   // precede this access. A lock only this thread has released holds no
   // such release.
-  for (const WcpCsFrame &Frame : TS.CsStack)
-    if (Frame.ForeignReleases &&
-        Releases.joinInto(Frame.Lock, X, /*WithReads=*/IsWrite, T, TS.P))
+  //
+  // A cell whose record was collected joins nothing, exactly: collection
+  // needs every current thread's cursor past the record, so every
+  // non-owner popped it (its P ⊒ H_rel), and the owner's P covers H_rel
+  // by the collector's own check. The releaser that collected it set
+  // P_ℓ ⊒ H_rel, and every later P_ℓ comes from a thread that is one of
+  // those or acquired ℓ since, so a thread admitted later has P ⊒ H_rel
+  // from its first acquire of ℓ on.
+  for (const WcpCsFrame &Frame : TS.CsStack) {
+    if (!Frame.ForeignReleases)
+      continue;
+    const WcpLockState &LS = Locks[Frame.Lock.value()];
+    auto JoinRelease = [&](uint64_t Record) {
+      return Record >= LS.Base &&
+             LS.record(Record).releaseTime(Versions).joinInto(TS.P);
+    };
+    if (Releases.joinInto(Frame.Lock, X, /*WithReads=*/IsWrite, T,
+                          JoinRelease))
       ++TS.PEpoch;
+  }
   // The access belongs to the R/W set of *every* open section (sections
   // may overlap without nesting, so bubbling on release would be wrong):
   // one log entry serves them all.
@@ -363,7 +403,8 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
     // then advances so its later events stay unordered with the child.
     ThreadId Child = E.targetThread();
     WcpThreadState &CS = Threads[Child.value()];
-    CS.H.joinWith(TS.H);
+    if (CS.H.joinWith(TS.H))
+      ++CS.HEpoch;
     CS.H.set(Child, CS.N); // Preserve H_u(u) = N_u.
     if (CS.P.joinWith(TS.P))
       ++CS.PEpoch;
@@ -378,7 +419,8 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
     // join(t, u): symmetric.
     ThreadId Child = E.targetThread();
     WcpThreadState &CS = Threads[Child.value()];
-    TS.H.joinWith(CS.H);
+    if (TS.H.joinWith(CS.H))
+      ++TS.HEpoch;
     TS.H.set(T, TS.N);
     if (TS.P.joinWith(CS.P))
       ++TS.PEpoch;

@@ -101,8 +101,14 @@ private:
 
   /// Line 4's guard: Acq_ℓ(t).Front() ⊑ C_t, evaluated without
   /// materializing C_t (= P_t except component t, which is N_t).
-  bool frontLeqCt(ClockSpan Front, const WcpThreadState &TS,
+  bool frontLeqCt(WcpTime Front, const WcpThreadState &TS,
                   ThreadId T) const;
+
+  /// \p TS's current P_t / H_t as a version, snapshotted only if the
+  /// clock's epoch moved since the thread's last snapshot (see
+  /// WcpState.h). The thread keeps the reference; storers retain their own.
+  WcpClockVersions::Handle pVersion(WcpThreadState &TS);
+  WcpClockVersions::Handle hVersion(WcpThreadState &TS);
 
   /// Line 11/12's rule (a) join over every open section whose lock another
   /// thread has released, and the access's entry in the section log.
@@ -130,6 +136,8 @@ private:
   uint32_t NumThreads; ///< High-water thread count (telemetry sizing).
   std::vector<WcpThreadState> Threads;
   std::vector<WcpLockState> Locks;
+  /// Every P/H time the queues and P_ℓ/H_ℓ store (see WcpState.h).
+  WcpClockVersions Versions;
   /// L^r_{ℓ,x} / L^w_{ℓ,x}, split per releasing thread (see WcpState.h).
   WcpReleaseTable Releases;
   AccessHistory History;

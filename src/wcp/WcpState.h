@@ -15,19 +15,36 @@
 ///   * per (ℓ, t):    FIFO queues Acq_ℓ(t) and Rel_ℓ(t) of the C-times of
 ///     acquires / H-times of releases performed by *other* threads.
 ///
-/// The layout keeps the per-event path free of heap allocation:
+/// The layout stores each distinct thread clock once and keeps the
+/// per-event path free of heap allocation:
 ///
+///   * Clock versions. Queue records and P_ℓ / H_ℓ hold 32-bit handles into
+///     one detector-wide slab of immutable, refcounted clock copies
+///     (WcpClockVersions) instead of clocks of their own. A thread
+///     snapshots P_t only when PEpoch moved since its last snapshot, and H_t
+///     only when HEpoch moved. HEpoch counts H joins but not the
+///     own-component sets H_t(t) := N_t, so an H version's own component may
+///     lag N_t; whoever stores a version also stores the N that completes it.
 ///   * The queues are one shared per-lock record buffer with per-thread
 ///     cursors: the value enqueued for every t' ≠ t is identical, so storing
 ///     it once per critical section implements the same abstract queues with
-///     a factor-T less memory. A record holds both times inline, and P_ℓ /
-///     H_ℓ head the same buffer, so a lock costs one buffer plus one
-///     per-thread cursor array, both sized on first use. Queue-length
-///     telemetry (Table 1 column 11) is reported in terms of the *abstract*
-///     per-(ℓ,t) queues so the numbers are comparable with the paper.
+///     a factor-T less memory. A record is {owner, N_acq, N_rel, P version,
+///     H version}, with C_acq = P[owner := N_acq] (exact: P_t(t) ≤ N_t) and
+///     H_rel = H[owner := N_rel] (exact: the version's other components are
+///     H_t's at the release, and its own one is ≤ N_rel). P_ℓ / H_ℓ are a P
+///     version, an H version and the releaser's N. Collected records,
+///     overwritten P_ℓ / H_ℓ and a thread's stale snapshots drop their
+///     references, so retained memory stays proportional to the live state.
+///     While one thread is a lock's only acquirer its cursor lives inline;
+///     the per-thread cursor array appears when a second thread acquires.
+///     Queue-length telemetry (Table 1 column 11) is reported in terms of
+///     the *abstract* per-(ℓ,t) queues so the numbers are comparable with
+///     the paper.
 ///   * L^r/L^w live in one open-addressing table whose per-thread cells are
 ///     overwritten, not joined: H_t only grows, so the join of thread t's
-///     contributions is its latest one.
+///     contributions is its latest one. A cell holds the logical index of
+///     the queue record of the release it came from, whose H_rel is that
+///     H_t.
 ///   * A thread's open critical sections share one access log; a section's
 ///     R/W sets are the log suffix since its acquire, because an access
 ///     belongs to every section open at the time.
@@ -44,7 +61,143 @@
 #include <memory>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace rapid {
+
+/// Immutable copies of thread clocks, shared by handle and reference
+/// counted. A copy is stored as [width, refs, components...] in a
+/// fixed-size block, and its handle is the position of its first component
+/// (block index, then offset). A freed copy goes on a free list for its
+/// width: nothing is ever re-laid out or copied into a bigger buffer, and a
+/// steady state whose versions churn stops allocating. Under
+/// AddressSanitizer a freed copy's components are poisoned until reused,
+/// so a read through a handle that outlived its last reference fails
+/// loudly instead of seeing whatever the slot holds next.
+class WcpClockVersions {
+public:
+  using Handle = uint32_t;
+  /// ⊥: stored nowhere, never counted. No copy starts at offset 0.
+  static constexpr Handle Bottom = 0;
+
+  /// A new version holding \p C, with one reference.
+  Handle snapshot(const VectorClock &C) {
+    const uint32_t Width = C.size();
+    if (Width == 0)
+      return Bottom;
+    Handle H;
+    if (Width < FreeHead.size() && FreeHead[Width] != Bottom) {
+      H = FreeHead[Width];
+      FreeHead[Width] = refs(H);
+    } else {
+      H = allocate(Width);
+    }
+    ClockValue *Data = data(H);
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(Data, Width * sizeof(ClockValue));
+#endif
+    C.copyTo(Data, Width);
+    refs(H) = 1;
+    return H;
+  }
+
+  void retain(Handle H) {
+    if (H != Bottom)
+      ++refs(H);
+  }
+
+  /// Drops one reference; the last one frees the copy for reuse.
+  void release(Handle H) {
+    if (H == Bottom)
+      return;
+    assert(refs(H) != 0 && "version released more often than retained");
+    if (--refs(H) != 0)
+      return;
+    const uint32_t Width = data(H)[-2];
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(data(H), Width * sizeof(ClockValue));
+#endif
+    if (Width >= FreeHead.size())
+      FreeHead.resize(Width + 1, Bottom);
+    refs(H) = FreeHead[Width]; // While free, refs links the free list.
+    FreeHead[Width] = H;
+  }
+
+  ClockSpan span(Handle H) const {
+    if (H == Bottom)
+      return {};
+    const ClockValue *Data = data(H);
+    assert(Data[-1] != 0 && "reading a freed version");
+    return {Data, Data[-2]};
+  }
+
+private:
+  static constexpr unsigned OffsetBits = 13;
+  /// Words per block; a wider copy gets a block of its own.
+  static constexpr uint32_t BlockWords = 1u << OffsetBits;
+
+  const ClockValue *data(Handle H) const {
+    return Blocks[H >> OffsetBits].get() + (H & (BlockWords - 1));
+  }
+  ClockValue *data(Handle H) {
+    return Blocks[H >> OffsetBits].get() + (H & (BlockWords - 1));
+  }
+  ClockValue &refs(Handle H) { return data(H)[-1]; }
+
+  Handle allocate(uint32_t Width) {
+    const size_t Words = size_t(Width) + 2;
+    if (Words > Room) {
+      const size_t Size = std::max<size_t>(BlockWords, Words);
+      assert(Blocks.size() < (size_t(1) << (32 - OffsetBits)) &&
+             "version handles exhausted");
+      Blocks.emplace_back(new ClockValue[Size]);
+      Next = 0;
+      Room = Size;
+    }
+    const Handle H =
+        Handle(Blocks.size() - 1) << OffsetBits | Handle(Next + 2);
+    Blocks.back()[Next] = Width;
+    Next += Words;
+    Room -= Words;
+    return H;
+  }
+
+  std::vector<std::unique_ptr<ClockValue[]>> Blocks;
+  size_t Next = 0; ///< First free word of the last block.
+  size_t Room = 0; ///< Free words in the last block.
+  /// Head of the free list per width (Bottom: empty).
+  std::vector<Handle> FreeHead;
+};
+
+/// A stored thread time: a version with its owner's component replaced,
+/// Base[Owner := N]. Exact as long as Base(Owner) ≤ N.
+struct WcpTime {
+  ClockSpan Base;
+  uint32_t Owner;
+  ClockValue N;
+
+  /// *this ⊑ \p Other.
+  bool lessOrEqual(const VectorClock &Other) const {
+    if (N > Other.get(ThreadId(Owner)))
+      return false;
+    for (uint32_t U = 0; U != Base.Size; ++U)
+      if (U != Owner && Base.Data[U] > Other.get(ThreadId(U)))
+        return false;
+    return true;
+  }
+
+  /// \p Out ⊔= *this. Returns true iff \p Out changed.
+  bool joinInto(VectorClock &Out) const {
+    bool Changed = Out.joinWith(Base);
+    if (Out.get(ThreadId(Owner)) < N) {
+      Out.set(ThreadId(Owner), N);
+      Changed = true;
+    }
+    return Changed;
+  }
+};
 
 /// One thread's view of a lock's abstract queues.
 struct WcpLockThread {
@@ -62,34 +215,39 @@ struct WcpLockThread {
   bool Touched = false;
 };
 
-/// One critical section's times in a lock's queue buffer, shared across the
-/// abstract per-thread queues of its lock. A view: valid until the buffer
-/// next grows.
-struct WcpQueueEntry {
-  const ClockValue *Rec;
-  uint32_t Width;
+/// One critical section in a lock's queue buffer, shared across the
+/// abstract per-thread queues of its lock.
+struct WcpRecord {
+  uint32_t Owner;  ///< The section's thread.
+  ClockValue NAcq; ///< C_acq = PVer[Owner := NAcq] (set at acquire).
+  ClockValue NRel; ///< H_rel = HVer[Owner := NRel]; 0 while open.
+  WcpClockVersions::Handle PVer;
+  WcpClockVersions::Handle HVer;
 
-  ThreadId thread() const { return ThreadId(Rec[0]); } ///< Section owner.
-  bool hasRelease() const { return Rec[1] != 0; }
-  /// C_a of the acquire (enqueued at acquire).
-  ClockSpan acquireTime() const { return {Rec + 2, Width}; }
-  /// H_r of the release (set at release).
-  ClockSpan releaseTime() const { return {Rec + 2 + Width, Width}; }
+  bool hasRelease() const { return NRel != 0; } // N_t starts at 1.
+  WcpTime acquireTime(const WcpClockVersions &V) const {
+    return {V.span(PVer), Owner, NAcq};
+  }
+  WcpTime releaseTime(const WcpClockVersions &V) const {
+    return {V.span(HVer), Owner, NRel};
+  }
 };
 
 /// Per-lock state, sized on first use: a lock that is never acquired costs
-/// nothing beyond this struct. Every clock it stores is zero-padded to a
-/// common width, which widens (re-laying the buffer out) only when a wider
-/// clock arrives, i.e. when threads are admitted mid-stream.
+/// nothing beyond this struct.
 struct WcpLockState {
-  /// Flat storage, Width components per clock: [P_ℓ | H_ℓ | records...],
-  /// each record [thread, has-release, C_acq, H_rel]. Records before Head
-  /// are collected and wait for compaction.
-  std::vector<ClockValue> Buf;
-  uint32_t Width = 0;
+  /// Queue records; those before Head are collected and wait for
+  /// compaction.
+  std::vector<WcpRecord> Records;
   uint32_t Head = 0;
   /// Logical index of the record at Head.
   uint64_t Base = 0;
+
+  /// P_ℓ = PL and H_ℓ = HL[LastReleaser := HLN] (⊥ before the first
+  /// release).
+  WcpClockVersions::Handle PL = WcpClockVersions::Bottom;
+  WcpClockVersions::Handle HL = WcpClockVersions::Bottom;
+  ClockValue HLN = 0;
 
   /// Thread-set summaries: NoThread, the one thread id, or ManyThreads.
   static constexpr uint32_t NoThread = UINT32_MAX;
@@ -99,12 +257,12 @@ struct WcpLockState {
   /// that is ℓ's only releaser skips the rule (a) lookups for ℓ.
   uint32_t Releasers = NoThread;
   /// Who has acquired ℓ (see WcpLockThread::Touched). While one thread is
-  /// the only toucher, no other queue is live and the live accounting
-  /// skips the per-thread array.
+  /// the only toucher, its cursor is Lone, no other queue is live and the
+  /// live accounting skips the per-thread array.
   uint32_t Touchers = NoThread;
   /// Thread of the last release (NoThread before the first). Its P_t and
-  /// H_t have only grown since they were copied into P_ℓ and H_ℓ, so its
-  /// next acquire skips the Lines 1-2 joins.
+  /// H_t have only grown since they became P_ℓ and H_ℓ, so its next
+  /// acquire skips the Lines 1-2 joins.
   uint32_t LastReleaser = NoThread;
 
   /// True iff a thread other than \p T has released ℓ.
@@ -112,125 +270,141 @@ struct WcpLockState {
     return Releasers != NoThread && Releasers != T.value();
   }
 
-  /// Per-thread cursors and live counts, grown to cover each toucher. A
-  /// thread beyond the physical size has not touched the lock; see
-  /// collectibleEnd for how it counts.
+  /// The only toucher's cursor while Touchers is one thread.
+  WcpLockThread Lone;
+  /// Per-thread cursors and live counts once a second thread has acquired
+  /// ℓ, grown to cover each toucher. A thread beyond the physical size has
+  /// not touched the lock; see collectibleEnd for how it counts.
   std::vector<WcpLockThread> Threads;
 
   /// Records the first allocation has room for.
   static constexpr uint32_t InitialRecords = 4;
 
-  uint32_t recordWords() const { return 2 + 2 * Width; }
-  uint64_t numRecords() const {
-    return Buf.empty() ? 0 : (Buf.size() - 2 * Width) / recordWords() - Head;
-  }
+  uint64_t numRecords() const { return Records.size() - Head; }
   uint64_t logicalEnd() const { return Base + numRecords(); }
 
-  /// P_ℓ and H_ℓ (⊥ before the lock's first acquire).
-  ClockSpan P() const {
-    return Buf.empty() ? ClockSpan() : ClockSpan{Buf.data(), Width};
-  }
-  ClockSpan H() const {
-    return Buf.empty() ? ClockSpan() : ClockSpan{Buf.data() + Width, Width};
-  }
-
-  WcpQueueEntry entry(uint64_t LogicalIdx) const {
+  const WcpRecord &record(uint64_t LogicalIdx) const {
     assert(LogicalIdx >= Base && LogicalIdx < logicalEnd() &&
            "queue entry out of range");
-    return {record(LogicalIdx), Width};
+    return Records[Head + size_t(LogicalIdx - Base)];
   }
 
-  /// Thread \p T's queue view. The first touch grows the array; new slots
-  /// start at Base: entries below it were collected under the invariant
-  /// that their release times already flow to every possible future thread
-  /// through P_ℓ, so skipping them is a semantic no-op; see
-  /// WcpDetector::collectLockGarbage.
+  /// P_ℓ and H_ℓ.
+  ClockSpan P(const WcpClockVersions &V) const { return V.span(PL); }
+  WcpTime H(const WcpClockVersions &V) const {
+    return {V.span(HL), LastReleaser, HLN};
+  }
+
+  /// Toucher \p T's queue view.
   WcpLockThread &thread(uint32_t T) {
-    if (T >= Threads.size())
-      Threads.resize(T + 1, WcpLockThread{Base, 0, false});
-    return Threads[T];
+    assert(touched(T) && "queue view of a thread that never acquired");
+    return Touchers == ManyThreads ? Threads[T] : Lone;
   }
   bool touched(uint32_t T) const {
     if (Touchers != ManyThreads)
       return Touchers == T;
     return T < Threads.size() && Threads[T].Touched;
   }
-  /// Marks \p T as a toucher.
-  void touch(uint32_t T) {
-    thread(T).Touched = true;
-    Touchers = addToSet(Touchers, T);
+  /// Marks \p T as a toucher and returns its queue view. New cursors start
+  /// at Base: entries below it were collected under the invariant that
+  /// their release times already flow to every possible future thread
+  /// through P_ℓ, so skipping them is a semantic no-op; see
+  /// WcpDetector::collectLockGarbage. An untouched thread's cursor never
+  /// moves and Base never passes it, so it sits at Base as well: a second
+  /// toucher spills the lone cursor into an array whose other slots all
+  /// start at Base.
+  WcpLockThread &touch(uint32_t T) {
+    assert(!touched(T) && "thread touched the lock twice");
+    const WcpLockThread Fresh{Base, 0, true};
+    if (Touchers == NoThread) {
+      Touchers = T;
+      Lone = Fresh;
+      return Lone;
+    }
+    if (Touchers != ManyThreads) {
+      Threads.assign(std::max(Touchers, T) + 1, WcpLockThread{Base, 0, false});
+      Threads[Touchers] = Lone;
+      Touchers = ManyThreads;
+    } else if (T >= Threads.size()) {
+      Threads.resize(T + 1, WcpLockThread{Base, 0, false});
+    }
+    Threads[T] = Fresh;
+    return Threads[T];
   }
 
-  /// Line 3: appends a record for an acquire by \p T at C_t = \p P[t := N].
-  /// Returns its logical index. \p MinWidth is a sizing hint (the
-  /// detector's thread count) so batch runs never re-lay the buffer out.
-  uint64_t pushAcquire(ThreadId T, const VectorClock &P, ClockValue N,
-                       uint32_t MinWidth) {
-    widen(std::max({MinWidth, P.size(), T.value() + 1}));
-    if (Buf.empty()) {
-      // One allocation covers the header and the first few sections.
-      Buf.reserve(2 * Width + InitialRecords * recordWords());
-      Buf.assign(2 * Width, 0); // P_ℓ = H_ℓ = ⊥.
-    }
-    size_t At = Buf.size();
-    Buf.resize(At + recordWords(), 0);
-    ClockValue *Rec = Buf.data() + At;
-    Rec[0] = T.value();
-    P.copyTo(Rec + 2, Width);
-    Rec[2 + T.value()] = N;
+  /// Line 3: appends a record for an acquire by \p T at C_t = \p PVer[t :=
+  /// \p N]. Returns its logical index.
+  uint64_t pushAcquire(ThreadId T, ClockValue N, WcpClockVersions::Handle PVer,
+                       WcpClockVersions &V) {
+    if (Records.capacity() == 0)
+      Records.reserve(InitialRecords);
+    V.retain(PVer);
+    Records.push_back(
+        WcpRecord{T.value(), N, 0, PVer, WcpClockVersions::Bottom});
     return logicalEnd() - 1;
   }
 
-  /// Line 10: completes the record of the last acquire with H_r = \p H.
-  /// Lock semantics make that record the newest one.
-  void completeRelease(uint64_t LogicalIdx, ThreadId T, const VectorClock &H) {
-    widen(H.size());
-    ClockValue *Rec = record(LogicalIdx);
-    assert(LogicalIdx + 1 == logicalEnd() && Rec[0] == T.value() &&
-           Rec[1] == 0 && "queue entry mismatch");
+  /// Line 10: completes the record of the last acquire with H_r = \p HVer[t
+  /// := \p N]. Lock semantics make that record the newest one.
+  void completeRelease(uint64_t LogicalIdx, ThreadId T, ClockValue N,
+                       WcpClockVersions::Handle HVer, WcpClockVersions &V) {
+    WcpRecord &Rec = Records[Head + size_t(LogicalIdx - Base)];
+    assert(LogicalIdx + 1 == logicalEnd() && Rec.Owner == T.value() &&
+           !Rec.hasRelease() && "queue entry mismatch");
     (void)T;
-    Rec[1] = 1;
-    H.copyTo(Rec + 2 + Width, Width);
+    V.retain(HVer);
+    Rec.NRel = N;
+    Rec.HVer = HVer;
   }
 
-  /// Line 9: \p T's release becomes the last release of ℓ.
-  void setLastRelease(ThreadId T, const VectorClock &PT,
-                      const VectorClock &HT) {
+  /// Line 9: \p T's release, at P_t = \p PVer and H_t = \p HVer[t := \p N],
+  /// becomes the last release of ℓ.
+  void setLastRelease(ThreadId T, ClockValue N, WcpClockVersions::Handle PVer,
+                      WcpClockVersions::Handle HVer, WcpClockVersions &V) {
     Releasers = addToSet(Releasers, T.value());
     LastReleaser = T.value();
-    widen(std::max(PT.size(), HT.size()));
-    PT.copyTo(Buf.data(), Width);
-    HT.copyTo(Buf.data() + Width, Width);
+    V.retain(PVer);
+    V.retain(HVer);
+    V.release(PL);
+    V.release(HL);
+    PL = PVer;
+    HL = HVer;
+    HLN = N;
   }
 
-  /// Drops the front record (logical index Base).
-  void popFront() {
+  /// Drops the front record (logical index Base) and its references.
+  void popFront(WcpClockVersions &V) {
     assert(numRecords() != 0 && "pop from an empty queue");
+    V.release(Records[Head].PVer);
+    V.release(Records[Head].HVer);
     ++Base;
     ++Head;
     uint64_t Left = numRecords();
     if (Left == 0) {
-      Buf.resize(2 * Width);
+      Records.clear();
       Head = 0;
     } else if (Head >= Left) {
       // Amortized compaction: at least as many dead records as live ones.
-      auto From = Buf.begin() + 2 * Width + size_t(Head) * recordWords();
-      Buf.erase(Buf.begin() + 2 * Width, From);
+      Records.erase(Records.begin(), Records.begin() + Head);
       Head = 0;
     }
   }
 
   /// The largest logical index every thread's cursor has passed (the
   /// collection candidates are [Base, this)). \p NumThreads is the
-  /// detector's thread count: threads without a physical cursor sit
-  /// implicitly at 0, so nothing is collectible until every one of them
-  /// has a cursor past Base (matching the fixed-size behavior exactly).
+  /// detector's thread count: threads without a physical cursor sit at
+  /// Base, so nothing is collectible until every one of them has a cursor
+  /// past it (matching the fixed-size behavior exactly). With a lone
+  /// toucher, that leaves its cursor only when it is thread 0 and the only
+  /// thread.
   /// The actual collection lives in WcpDetector::collectLockGarbage —
   /// it additionally requires each entry's release time to be covered by
   /// its own thread's P, which makes collection safe even for threads
   /// declared in the future (growable mode).
   uint64_t collectibleEnd(uint32_t NumThreads) const {
-    uint64_t Min = Threads.size() < NumThreads ? 0 : UINT64_MAX;
+    if (Touchers != ManyThreads)
+      return Touchers == 0 && NumThreads == 1 ? Lone.Cursor : Base;
+    uint64_t Min = Threads.size() < NumThreads ? Base : UINT64_MAX;
     for (const WcpLockThread &S : Threads)
       Min = std::min(Min, S.Cursor);
     return Min;
@@ -239,43 +413,6 @@ struct WcpLockState {
 private:
   static uint32_t addToSet(uint32_t Set, uint32_t T) {
     return Set == NoThread || Set == T ? T : ManyThreads;
-  }
-
-  ClockValue *record(uint64_t LogicalIdx) {
-    return Buf.data() + 2 * Width +
-           size_t(Head + (LogicalIdx - Base)) * recordWords();
-  }
-  const ClockValue *record(uint64_t LogicalIdx) const {
-    return const_cast<WcpLockState *>(this)->record(LogicalIdx);
-  }
-
-  /// Re-lays the buffer out at \p NewWidth components per clock (zero
-  /// extension keeps every stored time semantically unchanged).
-  void widen(uint32_t NewWidth) {
-    if (NewWidth <= Width)
-      return;
-    if (Buf.empty()) {
-      Width = NewWidth;
-      return;
-    }
-    std::vector<ClockValue> Out;
-    Out.reserve(2 * NewWidth + numRecords() * (2 + 2 * NewWidth));
-    auto copyClock = [&](const ClockValue *Src) {
-      Out.insert(Out.end(), Src, Src + Width);
-      Out.insert(Out.end(), NewWidth - Width, 0);
-    };
-    copyClock(Buf.data());
-    copyClock(Buf.data() + Width);
-    for (uint64_t I = Base, E = logicalEnd(); I != E; ++I) {
-      const ClockValue *Rec = record(I);
-      Out.push_back(Rec[0]);
-      Out.push_back(Rec[1]);
-      copyClock(Rec + 2);
-      copyClock(Rec + 2 + Width);
-    }
-    Buf.swap(Out);
-    Width = NewWidth;
-    Head = 0;
   }
 };
 
@@ -304,17 +441,26 @@ struct WcpThreadState {
   /// guard. (Folding it into P_t would leak through rule (c)'s
   /// HB-composition channels and over-order independent threads.)
   VectorClock K;
-  /// Capture-mode change epochs of P / K: bumped on every mutation of the
-  /// respective clock that a race check can observe (spurious bumps are
-  /// only a missed dedup; a missed bump would be unsound). Race checks
-  /// never read the accessing thread's own component, so the local
-  /// increment of K_t(t) does not bump KEpoch. An access whose epoch
-  /// matches the thread's last broadcast snapshot reuses it without the
-  /// O(threads) content compare — the common case, since P/K mutate only
-  /// at sync events and (for P) rule-(a) joins that actually add
-  /// something.
+  /// Change epochs of P / K: bumped on every mutation of the respective
+  /// clock that a race check can observe (spurious bumps are only a missed
+  /// dedup; a missed bump would be unsound). Race checks never read the
+  /// accessing thread's own component, so the local increment of K_t(t)
+  /// does not bump KEpoch. A capture-mode access whose epoch matches the
+  /// thread's last broadcast snapshot reuses it without the O(threads)
+  /// content compare — the common case, since P/K mutate only at sync
+  /// events and (for P) rule-(a) joins that actually add something. PEpoch
+  /// also decides when PVer is stale.
   uint64_t PEpoch = 1;
   uint64_t KEpoch = 1;
+  /// Bumped on every H join that changed H_t, but not by the own-component
+  /// sets H_t(t) := N_t (stored H times carry their own N).
+  uint64_t HEpoch = 1;
+  /// The thread's latest snapshots of P_t and H_t, and the epochs they
+  /// were taken at (0: none yet). The thread holds one reference to each.
+  WcpClockVersions::Handle PVer = WcpClockVersions::Bottom;
+  WcpClockVersions::Handle HVer = WcpClockVersions::Bottom;
+  uint64_t PVerEpoch = 0;
+  uint64_t HVerEpoch = 0;
   bool IncrementNext = false; ///< Previous event was a release/fork.
   std::vector<WcpCsFrame> CsStack; ///< Open critical sections, innermost last.
   /// Accesses inside open sections, oldest first, as (x << 1 | is-write).
@@ -363,18 +509,19 @@ struct WcpStats {
 /// only one or two threads release a given lock around a given variable.
 ///
 /// A cell holds its thread's latest contribution: H_t is monotone, so
-/// overwriting equals the join. Keys live in a linear-probing table; each
-/// slot heads two singly linked cell lists (read set, write set). Cells and
-/// their clocks live in fixed-size blocks: a store allocates only when a
-/// block fills or the key table grows, and no buffer is ever copied into a
-/// bigger one (a large freed buffer raises glibc's dynamic mmap threshold,
-/// and with it the freed memory every malloc arena keeps resident).
+/// overwriting equals the join. The contribution is the H_rel of a queue
+/// record of ℓ, so the cell stores that record's logical index. Keys live
+/// in a linear-probing table; each slot heads two singly linked cell lists
+/// (read set, write set). Cells live in fixed-size blocks: a store
+/// allocates only when a block fills or the key table grows, and no buffer
+/// is ever copied into a bigger one (a large freed buffer raises glibc's
+/// dynamic mmap threshold, and with it the freed memory every malloc arena
+/// keeps resident).
 class WcpReleaseTable {
 public:
   /// Sets thread \p T's cell of L^w_{ℓ,x} (\p IsWrite) or L^r_{ℓ,x} to
-  /// \p H.
-  void store(LockId L, VarId X, bool IsWrite, ThreadId T,
-             const VectorClock &H) {
+  /// the release time of ℓ's queue record \p Record.
+  void store(LockId L, VarId X, bool IsWrite, ThreadId T, uint64_t Record) {
     Slot &S = findOrInsert(key(L, X));
     uint32_t &Head = S.Head[IsWrite];
     uint32_t C = Head;
@@ -384,21 +531,18 @@ public:
       C = NumCells++;
       if (C % CellsPerBlock == 0)
         CellBlocks.emplace_back(new Cell[CellsPerBlock]);
-      cell(C) = Cell{T.value(), Head, 0, false, nullptr};
+      cell(C) = Cell{0, T.value(), Head, false};
       Head = C;
     }
     Cell &Dst = cell(C);
+    Dst.Record = Record;
     Dst.Absorbed = false;
-    if (H.size() > Dst.Width) { // First store, or the thread count grew.
-      Dst.Clock = allocClock(H.size());
-      Dst.Width = H.size();
-    }
-    H.copyTo(Dst.Clock, Dst.Width);
   }
 
-  /// Joins into P_t (\p Out) of thread \p T, which holds ℓ, every cell
-  /// of (ℓ, x) except T's own: those of L^w_{ℓ,x}, and of L^r_{ℓ,x} too if
-  /// \p WithReads. Returns true iff \p Out changed (feeds the P-epoch; see
+  /// Calls \p Join(record) for every cell of (ℓ, x) except thread \p T's
+  /// own, which holds ℓ: those of L^w_{ℓ,x}, and of L^r_{ℓ,x} too if
+  /// \p WithReads. \p Join joins that record's release time into P_t and
+  /// returns true iff P_t changed; so does this (feeds the P-epoch; see
   /// ClockBroadcast).
   ///
   /// Once a thread has joined a cell, the join is a no-op for every later
@@ -406,8 +550,9 @@ public:
   /// P ⊒ cell, every later acquirer joins that P_ℓ (or made the release
   /// itself), and only the cell's owner, who never joins it, can
   /// overwrite it. So each cell version is joined at most once.
+  template <typename JoinFn>
   bool joinInto(LockId L, VarId X, bool WithReads, ThreadId T,
-                VectorClock &Out) {
+                JoinFn &&Join) {
     const Slot *S = find(key(L, X));
     if (!S)
       return false;
@@ -417,7 +562,7 @@ public:
         Cell &Src = cell(C);
         if (Src.Thread == T.value() || Src.Absorbed)
           continue;
-        Changed |= Out.joinWith(ClockSpan{Src.Clock, Src.Width});
+        Changed |= Join(Src.Record);
         Src.Absorbed = true;
       }
     }
@@ -429,19 +574,17 @@ private:
   /// (invalid, invalid): no real (ℓ, x) key.
   static constexpr uint64_t EmptyKey = UINT64_MAX;
   static constexpr uint32_t CellsPerBlock = 1024;
-  static constexpr size_t ClockBlockWords = 8192;
 
   struct Slot {
     uint64_t Key = EmptyKey;
     uint32_t Head[2] = {None, None}; ///< Read list, write list.
   };
   struct Cell {
+    uint64_t Record; ///< Logical index in ℓ's queue.
     uint32_t Thread;
     uint32_t Next;
-    uint32_t Width;
-    /// Some thread has joined the current clock (see joinInto).
+    /// Some thread has joined the current release time (see joinInto).
     bool Absorbed;
-    ClockValue *Clock;
   };
 
   static uint64_t key(LockId L, VarId X) {
@@ -453,18 +596,6 @@ private:
   }
   Cell &cell(uint32_t C) {
     return CellBlocks[C / CellsPerBlock][C % CellsPerBlock];
-  }
-
-  ClockValue *allocClock(uint32_t Width) {
-    if (Width > ClockRoom) {
-      ClockRoom = std::max<size_t>(ClockBlockWords, Width);
-      ClockBlocks.emplace_back(new ClockValue[ClockRoom]);
-      ClockNext = ClockBlocks.back().get();
-    }
-    ClockValue *Out = ClockNext;
-    ClockNext += Width;
-    ClockRoom -= Width;
-    return Out;
   }
 
   const Slot *find(uint64_t Key) const {
@@ -512,9 +643,6 @@ private:
   size_t NumKeys = 0;
   std::vector<std::unique_ptr<Cell[]>> CellBlocks;
   uint32_t NumCells = 0;
-  std::vector<std::unique_ptr<ClockValue[]>> ClockBlocks;
-  ClockValue *ClockNext = nullptr; ///< Free space in the last clock block.
-  size_t ClockRoom = 0;
 };
 
 } // namespace rapid

@@ -289,6 +289,30 @@ WcpDetector expectShapeHolds(const Trace &T, const std::string &Label) {
   return D;
 }
 
+/// Theorem 2 against the declarative closure, for a detector built up
+/// front and for one grown from an empty table: C_a ⊑ C_b iff a ≤WCP b for
+/// every a <tr b, and every race instance is a WCP race.
+void expectTheorem2(const Trace &T, const std::string &Label) {
+  ClosureEngine Ref(T);
+  Trace Empty;
+  for (bool Grown : {false, true}) {
+    WcpDetector D(Grown ? Empty : T);
+    std::vector<VectorClock> C(T.size());
+    for (EventIdx I = 0; I != T.size(); ++I) {
+      D.processEvent(T.event(I), I);
+      D.currentC(T.event(I).Thread, C[I]);
+    }
+    const std::string Which = Label + (Grown ? " grown" : " up front");
+    for (EventIdx B = 0; B != T.size(); ++B)
+      for (EventIdx A = 0; A != B; ++A)
+        ASSERT_EQ(C[A].lessOrEqual(C[B]), Ref.ordered(OrderKind::WCP, A, B))
+            << Which << "\n a=" << T.eventStr(A) << " (#" << A
+            << ")\n b=" << T.eventStr(B) << " (#" << B << ")\n Ca="
+            << C[A].str() << " Cb=" << C[B].str();
+    testutil::expectWcpAgreesWithClosure(D.report(), T, Which);
+  }
+}
+
 } // namespace
 
 TEST(WcpLockStateTest, LockHandedOverAfterManyPrivateSections) {
@@ -378,4 +402,91 @@ TEST(WcpLockStateTest, LateThreadFirstAcquireWalksLongSingleThreadQueue) {
   Trace T = testutil::takeValid(B);
   WcpDetector D = expectShapeHolds(T, "late-thread gc");
   EXPECT_EQ(D.report().numDistinctPairs(), 0u);
+}
+
+TEST(WcpLockStateTest, CollectedRecordCellJoinsNothingForALateThread) {
+  // t1's first section on m writes y and w. t2 reads w under m, which
+  // delivers that release by rule (a) and lets t2 pop the section, and
+  // writes z; t1's second section reads z, which pops t2's section and,
+  // through P_m, covers t1's own first release. That release then
+  // collects t1's first record, in a detector that has not yet seen t3,
+  // while t1's (m, y) cell still points at it and no thread has joined
+  // that cell. t3 then reads y under m: the cell's record is gone, so it
+  // joins nothing, yet the w(y) stays ordered before the r(y), because
+  // t3's acquire joined a P_m that covers it. t1's w(u) after its last
+  // section still races with t3's r(u).
+  TraceBuilder B;
+  B.acquire("t1", "m").write("t1", "y").write("t1", "w").release("t1", "m");
+  B.acquire("t2", "m").read("t2", "w").write("t2", "z").release("t2", "m");
+  B.acquire("t1", "m").read("t1", "z").release("t1", "m");
+  EventIdx U1 = B.size();
+  B.write("t1", "u");
+  B.acquire("t3", "m").read("t3", "y").release("t3", "m");
+  EventIdx U3 = B.size();
+  B.read("t3", "u");
+  Trace T = testutil::takeValid(B);
+  WcpDetector D = expectShapeHolds(T, "collected cell");
+  expectTheorem2(T, "collected cell");
+  EXPECT_EQ(D.report().numDistinctPairs(), 1u);
+  EXPECT_TRUE(
+      D.report().hasPair(RacePair(T.event(U1).Loc, T.event(U3).Loc)));
+}
+
+TEST(WcpLockStateTest, VersionsOlderThanAThreadAreNarrowerThanItsClocks) {
+  // Grown from an empty table, the detector snapshots t1's and t2's clocks
+  // while they are the only threads, so their sections on m store
+  // two-component versions. t3 (forked by t1) and t4 (first seen after it)
+  // pop those sections with wider clocks, and the last sections of t2 and
+  // t1 pop records of every width. t4's r(u), its first event, races with
+  // t2's w(u).
+  TraceBuilder B;
+  EventIdx U2 = B.size();
+  B.write("t2", "u");
+  for (int Round = 0; Round != 3; ++Round) {
+    B.acquire("t1", "m").write("t1", "x").release("t1", "m");
+    B.acquire("t2", "m").read("t2", "x").write("t2", "y").release("t2", "m");
+  }
+  B.fork("t1", "t3");
+  B.acquire("t3", "m").read("t3", "y").write("t3", "x").release("t3", "m");
+  EventIdx U4 = B.size();
+  B.read("t4", "u");
+  B.acquire("t4", "m").read("t4", "x").write("t4", "y").release("t4", "m");
+  B.acquire("t2", "m").read("t2", "y").release("t2", "m");
+  B.acquire("t1", "m").write("t1", "x").release("t1", "m");
+  Trace T = testutil::takeValid(B);
+  WcpDetector D = expectShapeHolds(T, "narrow versions");
+  expectTheorem2(T, "narrow versions");
+  EXPECT_TRUE(
+      D.report().hasPair(RacePair(T.event(U2).Loc, T.event(U4).Loc)));
+}
+
+TEST(WcpLockStateTest, LoneCursorSpillsWhenASecondThreadAcquires) {
+  // m stays private to t2 for 30 sections, so its one cursor lives inline.
+  // Then t1, whose thread id is lower, acquires m: the lone cursor spills
+  // into the per-thread array with t1's slot at the queue's base; t3
+  // follows once both have moved. t2's w(v) after its last section races
+  // with t3's r(v).
+  TraceBuilder B;
+  B.write("t1", "u");
+  for (int I = 0; I != 30; ++I)
+    B.acquire("t2", "m").write("t2", "x").release("t2", "m");
+  B.acquire("t1", "m").read("t1", "x").release("t1", "m");
+  B.acquire("t2", "m").write("t2", "x").release("t2", "m");
+  EventIdx V2 = B.size();
+  B.write("t2", "v");
+  B.acquire("t3", "m").read("t3", "x").release("t3", "m");
+  B.acquire("t1", "m").write("t1", "x").release("t1", "m");
+  EventIdx V3 = B.size();
+  B.read("t3", "v");
+  Trace T = testutil::takeValid(B);
+  WcpDetector D = expectShapeHolds(T, "lone cursor spill");
+  expectTheorem2(T, "lone cursor spill");
+  EXPECT_EQ(D.report().numDistinctPairs(), 1u);
+  EXPECT_TRUE(
+      D.report().hasPair(RacePair(T.event(V2).Loc, T.event(V3).Loc)));
+  // Where the cursor lives does not show in the Table 1 queue accounting:
+  // these are the peaks of a per-thread array from the first acquire on.
+  EXPECT_EQ(D.stats().MaxSharedQueueEntries, 33u);
+  EXPECT_EQ(D.stats().MaxLiveQueueEntries, 68u);
+  EXPECT_EQ(D.stats().MaxAbstractQueueEntries, 122u);
 }
