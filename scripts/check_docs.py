@@ -3,8 +3,8 @@
 
 Part of rapidpp (PLDI'17 WCP reproduction).
 
-Two failure modes docs rot into, both caught here and run as a CI job on
-every push:
+Three failure modes docs rot into, all caught here and run as a CI job
+on every push:
 
   1. intra-repo markdown links pointing at files that moved or were
      renamed — every relative link target in *.md (repo root and docs/)
@@ -13,7 +13,10 @@ every push:
      every invocation found in code blocks or inline code spans is
      re-executed with `--dry-run` appended (race_cli validates the flag
      combination and exits without reading a trace), so a renamed or
-     removed flag fails the job the moment a doc still advertises it.
+     removed flag fails the job the moment a doc still advertises it;
+  3. code symbols that were renamed or deleted — every backticked
+     `Scope::name` (optionally with `()`) in README.md and docs/*.md must
+     name identifiers that all occur in src/ or examples/.
 
 Usage: scripts/check_docs.py [--cli PATH_TO_RACE_CLI] [--root REPO_ROOT]
 
@@ -35,6 +38,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # argument, up to the end of the line / code span. `race_cli_json_parses`
 # (ctest names) must not match, hence the \s and the no-word/dash guard.
 CMD_RE = re.compile(r"(?<![\w-])race_cli\s+([^`\n]*)")
+# A whole inline code span naming a scoped symbol: `Detector::telemetry`,
+# `AnalysisSession::progress()`, `StatusCode::InvalidConfig`.
+SYMBOL_RE = re.compile(r"[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+(?:\(\))?")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def doc_files(root: pathlib.Path):
@@ -98,6 +105,40 @@ def extract_commands(root: pathlib.Path):
                     yield md, lineno, argv, None
 
 
+def check_symbols(root: pathlib.Path) -> list:
+    """Every scoped symbol a user doc quotes must still exist in the code.
+    (ROADMAP.md and CHANGES.md name deleted symbols on purpose; they are
+    not user docs.)"""
+    known = set()
+    for top in ("src", "examples"):
+        for path in (root / top).rglob("*"):
+            if path.suffix in (".h", ".cpp"):
+                known.update(IDENT_RE.findall(path.read_text(errors="replace")))
+    errors = []
+    seen = 0
+    for md in user_doc_files(root):
+        in_fence = False
+        for lineno, line in enumerate(md.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for span in re.findall(r"`([^`]*)`", line):
+                if not SYMBOL_RE.fullmatch(span.strip()):
+                    continue
+                seen += 1
+                missing = [name for name in IDENT_RE.findall(span)
+                           if name not in known]
+                if missing:
+                    errors.append(
+                        f"{md.relative_to(root)}:{lineno}: `{span}` names "
+                        f"{', '.join(missing)}, found nowhere in src/ or "
+                        f"examples/")
+    print(f"checked {seen} scoped symbol(s)")
+    return errors
+
+
 def check_commands(root: pathlib.Path, cli: pathlib.Path) -> list:
     errors = []
     seen = 0
@@ -139,6 +180,7 @@ def main() -> int:
     errors = check_links(opts.root)
     print(f"checked links in {len(list(doc_files(opts.root)))} markdown "
           f"file(s)")
+    errors += check_symbols(opts.root)
     if opts.cli:
         errors += check_commands(opts.root, opts.cli)
     for err in errors:

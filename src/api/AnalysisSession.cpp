@@ -29,8 +29,9 @@
 //   VarSharded   the same laneConsumer per lane, with capture attached:
 //                its walk is the clock pass, the captured AccessLog is
 //                itself published by watermark, and per-shard drain tasks
-//                on the pool replay committed accesses in place
-//                (detect/ShardChecker); only the final trace-order merge
+//                on the pool run committed accesses in place through
+//                the detector's AccessChecker (detect/AccessChecker.h),
+//                one per shard; only the final trace-order merge
 //                waits for finish() (finishCapture/drainVarShard).
 //
 // A lane that throws fails alone, through one path (failLane): its status
@@ -183,9 +184,7 @@ struct WindowEntry {
 };
 
 /// The window-builder's run state: every window cut so far plus task
-/// accounting. (Historically one of several per run — table growth used
-/// to orphan the epoch and start a fresh one; with growable detector
-/// state there is exactly one per session.)
+/// accounting. One per session.
 struct WindowEpoch {
   std::mutex EM;
   std::condition_variable DoneCV;
@@ -197,9 +196,9 @@ struct WindowEpoch {
 // ---- Var-sharded-mode streaming state ---------------------------------------
 
 /// One lane's shard-check runtime for the streamed var-sharded mode.
-/// Cursors/Error/Seconds are guarded by the lane's LogM; the checker
-/// itself by SM (claim under LogM, replay under SM — in place, against
-/// the committed log — commit progress under LogM, so capture
+/// Cursors/Error/Seconds are guarded by the lane's LogM; the checker and
+/// its findings by SM (claim under LogM, replay under SM — in place,
+/// against the committed log — commit progress under LogM, so capture
 /// publication, shard replay and partial snapshots all overlap without
 /// sharing). WorkList is a PublishedStore so the drain task can read its
 /// claimed range outside LogM while the capture consumer keeps appending:
@@ -214,7 +213,8 @@ struct VarShard {
   double Seconds = 0;
 
   std::mutex SM;
-  std::unique_ptr<ShardChecker> Checker; ///< Growable; built once.
+  std::unique_ptr<AccessChecker> Checker; ///< Growable; built once.
+  std::vector<RaceInstance> Findings;     ///< In this shard's trace order.
 };
 
 /// Per-lane capture/publication state for the streamed var-sharded mode.
@@ -614,11 +614,12 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
         Timer Clock;
         for (uint64_t K = From; K != End; ++K) {
           const DeferredAccess &A = Log.access(Sh.WorkList[K]);
-          Sh.Checker->replay(A, VarId(VS.Plan.localIdOf(A.Var)),
-                             Broadcast.snapshot(A.Clock),
-                             A.Hard == DeferredAccess::NoClock
-                                 ? nullptr
-                                 : &Broadcast.snapshot(A.Hard));
+          Sh.Checker->check(A, VarId(VS.Plan.localIdOf(A.Var)),
+                            Broadcast.snapshot(A.Clock),
+                            A.Hard == DeferredAccess::NoClock
+                                ? nullptr
+                                : &Broadcast.snapshot(A.Hard),
+                            Sh.Findings);
         }
         Seconds = Clock.seconds();
       });
@@ -652,11 +653,9 @@ void AnalysisSession::Impl::attachCapture(VarShardState &VS) {
   auto Log = std::make_unique<AccessLog>(HintThreads);
   if (!Rt.D->beginCapture(*Log))
     return;
-  const ShardReplay Replay = Rt.D->shardReplay();
-  const ShardContext *Ctx = Rt.D->shardContext(); // Outlives the drains.
-  for (uint32_t S = 0; S != VS.Plan.NumShards; ++S)
-    VS.Shards[S]->Checker = std::make_unique<ShardChecker>(
-        Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
+  for (uint32_t S = 0; S != VS.Plan.NumShards; ++S) // D outlives the drains.
+    VS.Shards[S]->Checker = Rt.D->makeAccessChecker(
+        VS.Plan.numLocalVars(S, HintVars), HintThreads);
   VS.LogHolder = std::move(Log);
   VS.Log = VS.LogHolder.get();
   VS.Capturing = true;
@@ -731,7 +730,7 @@ void AnalysisSession::Impl::finishCapture(VarShardState &VS) {
       ShardSeconds += Sh.Seconds;
     }
     std::lock_guard<std::mutex> SG(Sh.SM);
-    PerShard[S] = std::move(Sh.Checker->findings());
+    PerShard[S] = std::move(Sh.Findings);
   }
   RaceReport Merged = mergeInTraceOrder(PerShard);
   std::lock_guard<std::mutex> G(Rt.SnapM);
@@ -1013,7 +1012,7 @@ void AnalysisSession::Impl::snapshotVarShardLane(VarShardState &VS,
   for (size_t S = 0; S != VS.Shards.size(); ++S) {
     VarShard &Sh = *VS.Shards[S];
     std::lock_guard<std::mutex> G(Sh.SM);
-    for (const RaceInstance &Inst : Sh.Checker->findings()) {
+    for (const RaceInstance &Inst : Sh.Findings) {
       if (Inst.LaterIdx >= Bound)
         break; // Findings are ascending in LaterIdx within a shard.
       PerShard[S].push_back(Inst);

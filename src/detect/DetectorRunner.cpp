@@ -11,14 +11,18 @@
 
 #include "detect/DetectorRunner.h"
 
+#include "detect/AccessChecker.h"
 #include "support/Timer.h"
 #include "trace/Window.h"
 
 using namespace rapid;
 
 Detector::~Detector() = default;
-ShardReplayer::~ShardReplayer() = default;
-ShardContext::~ShardContext() = default;
+
+std::unique_ptr<AccessChecker> Detector::makeAccessChecker(uint32_t,
+                                                           uint32_t) const {
+  return nullptr;
+}
 
 RunResult rapid::runDetector(Detector &D, const Trace &T) {
   Timer Clock;

@@ -7,11 +7,11 @@
 /// \file
 /// Per-variable sharding of the paper's single-pass race check. Conflicts
 /// only exist between accesses to the *same* variable (§2.1: e1 ≍ e2
-/// requires the same x), so the AccessHistory side of a detector — the
-/// checkRead/checkWrite calls and last-access records — partitions cleanly
-/// by variable, while the vector-clock machinery stays a sequential stream
-/// (clock propagation orders arbitrary events and cannot be split the same
-/// way). That split turns one detector lane into:
+/// requires the same x), so a detector's AccessChecker — the check and the
+/// per-variable state it records (detect/AccessChecker.h) — partitions
+/// cleanly by variable, while the vector-clock machinery stays a
+/// sequential stream (clock propagation orders arbitrary events and cannot
+/// be split the same way). That split turns one detector lane into:
 ///
 ///   phase 1  clock pass (sequential): the detector runs with its race
 ///            checks deferred; every read/write is appended to an
@@ -19,9 +19,10 @@
 ///            ClockBroadcast snapshot table (clocks mutate only at a
 ///            bounded number of points, so consecutive accesses of a
 ///            thread share one immutable snapshot);
-///   phase 2  shard checks (parallel): each shard replays its variables'
-///            deferred accesses, in trace order, against a private
-///            partition of the access history — no locks, no sharing;
+///   phase 2  shard checks (parallel): each shard feeds its variables'
+///            deferred accesses, in trace order, to its own checker from
+///            Detector::makeAccessChecker — the class the sequential walk
+///            runs, over a private partition of the per-variable state;
 ///   phase 3  merge (sequential): per-shard findings interleave back by
 ///            parent-trace index. Every access event belongs to exactly
 ///            one shard, so the interleaving is unique and reproduces the
@@ -37,13 +38,11 @@
 #ifndef RAPID_DETECT_SHARDEDACCESSHISTORY_H
 #define RAPID_DETECT_SHARDEDACCESSHISTORY_H
 
-#include "detect/AccessHistory.h"
-#include "detect/Detector.h"
+#include "detect/AccessChecker.h"
 #include "detect/RaceReport.h"
 #include "support/PublishedStore.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace rapid {
@@ -71,27 +70,6 @@ struct ShardPlan {
   }
 };
 
-/// One deferred read/write: everything its race check needs, with the
-/// event's clocks referenced into the broadcast table. The snapshots stand
-/// in for C_e on every component *except* the accessing thread's own:
-/// replayers never read C_e(t(e)) (AccessHistory::checkAgainst skips
-/// Self, and FastTrack's replay guards each epoch test with
-/// Thread != T), and the access carries that component as N. Capturing
-/// detectors rely on this to keep their snapshot epoch across local
-/// clock increments.
-struct DeferredAccess {
-  static constexpr uint32_t NoClock = UINT32_MAX;
-
-  EventIdx Idx = 0;     ///< Parent-trace index of the access.
-  VarId Var;            ///< Accessed variable (selects the shard).
-  ThreadId Thread;      ///< Accessing thread.
-  LocId Loc;            ///< Program location.
-  ClockValue N = 0;     ///< Local time to record (C_e's own component).
-  uint32_t Clock = 0;   ///< Snapshot index of C_e.
-  uint32_t Hard = NoClock; ///< Snapshot index of the hard clock, if any.
-  bool IsWrite = false;
-};
-
 /// The vector-clock broadcast step: immutable snapshots interned by the
 /// sequential clock pass and read concurrently (and in place) by every
 /// shard task — the snapshot table is a PublishedStore, so growth never
@@ -99,14 +77,14 @@ struct DeferredAccess {
 ///
 /// Dedup is epoch-compressed: the capturing detector passes each clock's
 /// change epoch (bumped at every mutation of that clock), and a snapshot
-/// whose epoch matches the thread's previous intern is reused in O(1) —
-/// no per-access O(threads) content compare, which is what used to
-/// re-serialize clocks in the capture pass. When the epoch did change the
-/// content compare still runs, preserving the dedup of no-op joins.
-/// Epoch 0 means "no epoch tracking": always content-compare. Detectors
-/// do not bump the epoch when only the owning thread's own component
-/// changed (a local increment), so a reused snapshot may hold a stale
-/// C_t(t) — harmless, since no replayer reads it (see DeferredAccess).
+/// whose epoch matches the thread's previous intern is reused in O(1),
+/// with no per-access O(threads) content compare. When the epoch did
+/// change the content compare still runs, preserving the dedup of no-op
+/// joins. Epoch 0 means "no epoch tracking": always content-compare.
+/// Detectors do not bump the epoch when only the owning thread's own
+/// component changed (a local increment), so a reused snapshot may hold a
+/// stale C_t(t) — harmless, since no checker reads it (see
+/// DeferredAccess).
 ///
 /// The per-thread dedup tables grow on first intern, so threads admitted
 /// mid-stream need no rebuild (the constructor count is a sizing hint).
@@ -189,46 +167,6 @@ public:
 private:
   PublishedStore<DeferredAccess> Accesses; ///< In trace order.
   ClockBroadcast Clocks;
-};
-
-/// Incremental replay of ONE shard's deferred checks, fed AccessLog
-/// prefixes while the capture pass is still appending (the session's
-/// var-sharded mode). Accesses must arrive in trace order and pre-mapped
-/// to the shard (caller applies the ShardPlan); clocks are passed in
-/// explicitly, resolved by the caller from the broadcast table. The
-/// shard's history is private and holds only its variables, addressed by
-/// dense local ids, so per-shard memory is NumVars/NumShards. Findings
-/// accumulate in discovery order.
-class ShardChecker {
-public:
-  /// \p Replay selects the engine (must match the capturing detector's
-  /// Detector::shardReplay()); \p NumLocalVars is the shard's dense
-  /// local-variable count (ShardPlan::numLocalVars). Both counts are
-  /// sizing hints — the engines grow on first touch, so local ids and
-  /// threads admitted mid-stream replay without a rebuild. Context-bearing
-  /// replay kinds (SyncPClosure) additionally need the capturing
-  /// detector's ShardContext in \p Ctx, which must outlive the checker.
-  ShardChecker(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads,
-               const ShardContext *Ctx = nullptr);
-  ~ShardChecker();
-
-  ShardChecker(const ShardChecker &) = delete;
-  ShardChecker &operator=(const ShardChecker &) = delete;
-
-  /// Replays one deferred access. \p Local is A.Var's dense local id under
-  /// the plan; \p Ce / \p Hard are the snapshots A.Clock / A.Hard resolve
-  /// to (Hard null when A.Hard is DeferredAccess::NoClock).
-  void replay(const DeferredAccess &A, VarId Local, const VectorClock &Ce,
-              const VectorClock *Hard);
-
-  /// Findings so far, in this shard's trace order (LaterIdx ascending).
-  std::vector<RaceInstance> &findings() { return Out; }
-  const std::vector<RaceInstance> &findings() const { return Out; }
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-  std::vector<RaceInstance> Out;
 };
 
 /// Interleaves per-shard findings back into parent-trace order and

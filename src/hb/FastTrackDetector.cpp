@@ -10,13 +10,98 @@
 
 using namespace rapid;
 
+void FastTrackChecker::check(const DeferredAccess &A, VarId Local,
+                             const VectorClock &Ct, const VectorClock *Hard,
+                             std::vector<RaceInstance> &Out) {
+  (void)Hard; // HB order is C_t alone.
+  // Growable: variables and threads first seen mid-stream start in the
+  // state up-front construction gives them.
+  if (A.Thread.value() >= NumThreads)
+    NumThreads = A.Thread.value() + 1;
+  if (Local.value() >= Vars.size())
+    Vars.resize(Local.value() + 1);
+  VarState &S = Vars[Local.value()];
+  const ThreadId T = A.Thread;
+  const Epoch Mine(A.N, T);
+  auto Race = [&](EventIdx EarlierIdx, LocId EarlierLoc) {
+    RaceInstance Inst;
+    Inst.EarlierIdx = EarlierIdx;
+    Inst.LaterIdx = A.Idx;
+    Inst.EarlierLoc = EarlierLoc;
+    Inst.LaterLoc = A.Loc;
+    Inst.Var = A.Var;
+    Out.push_back(Inst);
+  };
+
+  if (A.IsWrite) {
+    if (S.Write == Mine) {
+      // Same-epoch write: keep the freshest representative (see read).
+      S.WriteLoc = A.Loc;
+      S.WriteIdx = A.Idx;
+      return;
+    }
+    // Write-write check against the most recent write.
+    if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
+      Race(S.WriteIdx, S.WriteLoc);
+    // Read-write checks. The loop bound is the read vector's physical
+    // size: components beyond it are implicitly 0 and cannot race.
+    if (S.ReadShared) {
+      for (uint32_t U = 0, E = S.ReadVC.size(); U != E; ++U) {
+        if (U == T.value())
+          continue;
+        ClockValue RU = S.ReadVC.get(ThreadId(U));
+        if (RU != 0 && RU > Ct.get(ThreadId(U)))
+          Race(S.ReadInfo[U].Idx, S.ReadInfo[U].Loc);
+      }
+    } else if (!S.Read.isNone() && !S.Read.lessOrEqual(Ct) &&
+               S.Read.Thread != T) {
+      Race(S.ReadIdx, S.ReadLoc);
+    }
+    S.Write = Mine;
+    S.WriteLoc = A.Loc;
+    S.WriteIdx = A.Idx;
+    return;
+  }
+
+  // Same-epoch shortcut: redundant read. The stored location still
+  // advances so that later race reports name the most recent
+  // representative of the epoch, matching the full-history detector.
+  if (!S.ReadShared && S.Read == Mine) {
+    S.ReadLoc = A.Loc;
+    S.ReadIdx = A.Idx;
+    return;
+  }
+  // Write-read check.
+  if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
+    Race(S.WriteIdx, S.WriteLoc);
+  if (!S.ReadShared) {
+    if (S.Read.isNone() || S.Read.lessOrEqual(Ct) || S.Read.Thread == T) {
+      // Exclusive read: stay in epoch mode.
+      S.Read = Mine;
+      S.ReadLoc = A.Loc;
+      S.ReadIdx = A.Idx;
+      return;
+    }
+    // Concurrent reads: promote to vector mode.
+    ++ReadPromotions;
+    S.ReadShared = true;
+    S.ReadVC = VectorClock(NumThreads);
+    S.ReadInfo.assign(NumThreads, ReadLocInfo());
+    S.ReadVC.set(S.Read.Thread, S.Read.Clock);
+    S.ReadInfo[S.Read.Thread.value()] = {S.ReadLoc, S.ReadIdx};
+  }
+  if (S.ReadInfo.size() <= T.value())
+    S.ReadInfo.resize(NumThreads); // Threads admitted after promotion.
+  S.ReadVC.set(T, Mine.Clock);
+  S.ReadInfo[T.value()] = {A.Loc, A.Idx};
+}
+
 FastTrackDetector::FastTrackDetector(const Trace &T)
-    : NumThreads(T.numThreads()),
-      ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
+    : ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
       ClockEpochs(T.numThreads(), 1),
       LockClocks(T.numLocks(), VectorClock(T.numThreads())),
-      Vars(T.numVars()) {
-  for (uint32_t I = 0; I < NumThreads; ++I)
+      Checker(T.numVars(), T.numThreads()) {
+  for (uint32_t I = 0; I < T.numThreads(); ++I)
     ThreadClocks[I].set(ThreadId(I), 1);
 }
 
@@ -26,8 +111,6 @@ void FastTrackDetector::incrementLocal(ThreadId T) {
 }
 
 void FastTrackDetector::ensureThread(ThreadId T) {
-  if (T.value() >= NumThreads)
-    NumThreads = T.value() + 1;
   if (T.value() < ThreadClocks.size())
     return;
   uint32_t Old = static_cast<uint32_t>(ThreadClocks.size());
@@ -40,24 +123,6 @@ void FastTrackDetector::ensureThread(ThreadId T) {
 void FastTrackDetector::ensureLock(LockId L) {
   if (L.value() >= LockClocks.size())
     LockClocks.resize(L.value() + 1);
-}
-
-FastTrackDetector::VarState &FastTrackDetector::varState(VarId V) {
-  if (V.value() >= Vars.size())
-    Vars.resize(V.value() + 1);
-  return Vars[V.value()];
-}
-
-void FastTrackDetector::reportRace(EventIdx EarlierIdx, LocId EarlierLoc,
-                                   EventIdx LaterIdx, LocId LaterLoc,
-                                   VarId Var) {
-  RaceInstance Inst;
-  Inst.EarlierIdx = EarlierIdx;
-  Inst.LaterIdx = LaterIdx;
-  Inst.EarlierLoc = EarlierLoc;
-  Inst.LaterLoc = LaterLoc;
-  Inst.Var = Var;
-  Report.addRace(Inst);
 }
 
 void FastTrackDetector::processEvent(const Event &E, EventIdx Index) {
@@ -92,83 +157,19 @@ void FastTrackDetector::processEvent(const Event &E, EventIdx Index) {
       ++ClockEpochs[T.value()];
     return;
 
-  case EventKind::Read: {
-    if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/false, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
-      return;
-    }
-    VarState &S = varState(E.var());
-    Epoch Mine(Ct.get(T), T);
-    // Same-epoch shortcut: redundant read. The stored location still
-    // advances so that later race reports name the most recent
-    // representative of the epoch, matching the full-history detector.
-    if (!S.ReadShared && S.Read == Mine) {
-      S.ReadLoc = E.Loc;
-      S.ReadIdx = Index;
-      return;
-    }
-    // Write-read check.
-    if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
-      reportRace(S.WriteIdx, S.WriteLoc, Index, E.Loc, E.var());
-    if (!S.ReadShared) {
-      if (S.Read.isNone() || S.Read.lessOrEqual(Ct) || S.Read.Thread == T) {
-        // Exclusive read: stay in epoch mode.
-        S.Read = Mine;
-        S.ReadLoc = E.Loc;
-        S.ReadIdx = Index;
-        return;
-      }
-      // Concurrent reads: promote to vector mode.
-      ++ReadPromotions;
-      S.ReadShared = true;
-      S.ReadVC = VectorClock(NumThreads);
-      S.ReadInfo.assign(NumThreads, ReadLocInfo());
-      S.ReadVC.set(S.Read.Thread, S.Read.Clock);
-      S.ReadInfo[S.Read.Thread.value()] = {S.ReadLoc, S.ReadIdx};
-    }
-    if (S.ReadInfo.size() <= T.value())
-      S.ReadInfo.resize(NumThreads); // Threads admitted after promotion.
-    S.ReadVC.set(T, Mine.Clock);
-    S.ReadInfo[T.value()] = {E.Loc, Index};
-    return;
-  }
-
+  case EventKind::Read:
   case EventKind::Write: {
+    const bool IsWrite = E.Kind == EventKind::Write;
     if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/true, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
+      Capture->record(Index, E.var(), T, E.Loc, IsWrite, Ct.get(T), Ct,
+                      ClockEpochs[T.value()], nullptr);
       return;
     }
-    VarState &S = varState(E.var());
-    Epoch Mine(Ct.get(T), T);
-    if (S.Write == Mine) {
-      // Same-epoch write: keep the freshest representative (see read).
-      S.WriteLoc = E.Loc;
-      S.WriteIdx = Index;
-      return;
-    }
-    // Write-write check against the most recent write.
-    if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
-      reportRace(S.WriteIdx, S.WriteLoc, Index, E.Loc, E.var());
-    // Read-write checks. The loop bound is the read vector's physical
-    // size: components beyond it are implicitly 0 and cannot race.
-    if (S.ReadShared) {
-      for (uint32_t U = 0, E2 = S.ReadVC.size(); U < E2; ++U) {
-        if (U == T.value())
-          continue;
-        ClockValue RU = S.ReadVC.get(ThreadId(U));
-        if (RU != 0 && RU > Ct.get(ThreadId(U)))
-          reportRace(S.ReadInfo[U].Idx, S.ReadInfo[U].Loc, Index, E.Loc,
-                     E.var());
-      }
-    } else if (!S.Read.isNone() && !S.Read.lessOrEqual(Ct) &&
-               S.Read.Thread != T) {
-      reportRace(S.ReadIdx, S.ReadLoc, Index, E.Loc, E.var());
-    }
-    S.Write = Mine;
-    S.WriteLoc = E.Loc;
-    S.WriteIdx = Index;
+    Scratch.clear();
+    Checker.check({Index, E.var(), T, E.Loc, Ct.get(T), IsWrite}, E.var(),
+                  Ct, nullptr, Scratch);
+    for (const RaceInstance &R : Scratch)
+      Report.addRace(R);
     return;
   }
   }

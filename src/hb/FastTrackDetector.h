@@ -22,6 +22,7 @@
 #ifndef RAPID_HB_FASTTRACKDETECTOR_H
 #define RAPID_HB_FASTTRACKDETECTOR_H
 
+#include "detect/AccessChecker.h"
 #include "detect/Detector.h"
 #include "vc/Epoch.h"
 #include "vc/VectorClock.h"
@@ -30,29 +31,20 @@
 
 namespace rapid {
 
-/// Streaming FastTrack detector.
-class FastTrackDetector : public Detector {
+/// FastTrack's per-variable epoch state and checks: the one copy both the
+/// sequential walk and every var-sharded drain run. C_t arrives as the
+/// access's check clock (a broadcast snapshot in a drain), read only on
+/// other threads' components.
+class FastTrackChecker final : public AccessChecker {
 public:
-  explicit FastTrackDetector(const Trace &T);
+  FastTrackChecker(uint32_t NumVars, uint32_t NumThreads)
+      : NumThreads(NumThreads), Vars(NumVars) {}
 
-  void processEvent(const Event &E, EventIdx Index) override;
-  std::string name() const override { return "FastTrack"; }
+  void check(const DeferredAccess &A, VarId Local, const VectorClock &Ct,
+             const VectorClock *Hard,
+             std::vector<RaceInstance> &Out) override;
 
-  /// FastTrack's epoch checks partition by variable exactly like the
-  /// full-history detectors' — all they need at an access is C_t, which
-  /// the capture pass snapshots. Only the VarState machinery is deferred;
-  /// the shard phase replays it with ShardReplay::FastTrackEpoch.
-  bool beginCapture(AccessLog &Log) override {
-    Capture = &Log;
-    return true;
-  }
-  ShardReplay shardReplay() const override {
-    return ShardReplay::FastTrackEpoch;
-  }
-
-  /// Number of variables whose read history ever needed a full vector
-  /// clock (telemetry: the paper's motivation for epochs is that this is
-  /// rare). Zero in capture mode — promotion happens in the shards.
+  /// Variables whose read history needed a full vector clock.
   uint64_t numReadVectorPromotions() const { return ReadPromotions; }
 
 private:
@@ -73,24 +65,52 @@ private:
     std::vector<ReadLocInfo> ReadInfo; ///< Per-thread read locs (promoted).
   };
 
-  /// Admits threads [size, T] (local time 1, as at construction) and
-  /// raises the high-water NumThreads.
+  uint32_t NumThreads; ///< High-water accessing thread (promotion sizing).
+  std::vector<VarState> Vars;
+  uint64_t ReadPromotions = 0;
+};
+
+/// Streaming FastTrack detector.
+class FastTrackDetector : public Detector {
+public:
+  explicit FastTrackDetector(const Trace &T);
+
+  void processEvent(const Event &E, EventIdx Index) override;
+  std::string name() const override { return "FastTrack"; }
+
+  /// FastTrack's epoch checks partition by variable exactly like the
+  /// full-history detectors' — all they need at an access is C_t, which
+  /// the capture pass snapshots. Only the FastTrackChecker is deferred.
+  bool beginCapture(AccessLog &Log) override {
+    Capture = &Log;
+    return true;
+  }
+  std::unique_ptr<AccessChecker>
+  makeAccessChecker(uint32_t NumLocalVars, uint32_t NumThreads) const override {
+    return std::make_unique<FastTrackChecker>(NumLocalVars, NumThreads);
+  }
+
+  /// Number of variables whose read history ever needed a full vector
+  /// clock (telemetry: the paper's motivation for epochs is that this is
+  /// rare). Zero in capture mode — promotion happens in the shards.
+  uint64_t numReadVectorPromotions() const {
+    return Checker.numReadVectorPromotions();
+  }
+
+private:
+  /// Admits threads [size, T] (local time 1, as at construction).
   void ensureThread(ThreadId T);
   void ensureLock(LockId L);
-  VarState &varState(VarId V);
 
   void incrementLocal(ThreadId T);
-  void reportRace(EventIdx EarlierIdx, LocId EarlierLoc, EventIdx LaterIdx,
-                  LocId LaterLoc, VarId Var);
 
-  uint32_t NumThreads; ///< High-water thread count (promotion sizing).
   std::vector<VectorClock> ThreadClocks;
   /// Change epoch of C_t (see HbDetector::ClockEpochs): O(1) snapshot
   /// dedup in capture mode; local increments do not bump it.
   std::vector<uint64_t> ClockEpochs;
   std::vector<VectorClock> LockClocks;
-  std::vector<VarState> Vars;
-  uint64_t ReadPromotions = 0;
+  FastTrackChecker Checker; ///< Sequential-mode checks.
+  std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 };
 

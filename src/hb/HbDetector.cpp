@@ -14,7 +14,7 @@ HbDetector::HbDetector(const Trace &T)
     : ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
       ClockEpochs(T.numThreads(), 1),
       LockClocks(T.numLocks(), VectorClock(T.numThreads())),
-      History(T.numVars(), T.numThreads()) {
+      Checker(T.numVars(), T.numThreads()) {
   // Every thread starts at local time 1 so that "clock 0" unambiguously
   // means "has not seen this thread at all".
   for (uint32_t I = 0; I < T.numThreads(); ++I)
@@ -78,31 +78,19 @@ void HbDetector::processEvent(const Event &E, EventIdx Index) {
       ++ClockEpochs[T.value()];
     break;
 
-  case EventKind::Read: {
-    if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/false, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
-      break;
-    }
-    Scratch.clear();
-    History.checkRead(E.var(), T, Ct, E.Loc, Index, Scratch);
-    for (const RaceInstance &R : Scratch)
-      Report.addRace(R);
-    History.recordRead(E.var(), T, Ct.get(T), E.Loc, Index);
-    break;
-  }
-
+  case EventKind::Read:
   case EventKind::Write: {
+    const bool IsWrite = E.Kind == EventKind::Write;
     if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/true, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
+      Capture->record(Index, E.var(), T, E.Loc, IsWrite, Ct.get(T), Ct,
+                      ClockEpochs[T.value()], nullptr);
       break;
     }
     Scratch.clear();
-    History.checkWrite(E.var(), T, Ct, E.Loc, Index, Scratch);
+    Checker.check({Index, E.var(), T, E.Loc, Ct.get(T), IsWrite}, E.var(),
+                  Ct, nullptr, Scratch);
     for (const RaceInstance &R : Scratch)
       Report.addRace(R);
-    History.recordWrite(E.var(), T, Ct.get(T), E.Loc, Index);
     break;
   }
   }

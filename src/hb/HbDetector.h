@@ -21,7 +21,7 @@
 #ifndef RAPID_HB_HBDETECTOR_H
 #define RAPID_HB_HBDETECTOR_H
 
-#include "detect/AccessHistory.h"
+#include "detect/AccessChecker.h"
 #include "detect/Detector.h"
 #include "vc/VectorClock.h"
 
@@ -48,6 +48,10 @@ public:
     Capture = &Log;
     return true;
   }
+  std::unique_ptr<AccessChecker>
+  makeAccessChecker(uint32_t NumLocalVars, uint32_t NumThreads) const override {
+    return std::make_unique<FullHistoryChecker>(NumLocalVars, NumThreads);
+  }
 
   /// The HB time C_e of the last processed event (testing hook).
   const VectorClock &threadClock(ThreadId T) const {
@@ -72,7 +76,7 @@ private:
   /// of an O(threads) content compare.
   std::vector<uint64_t> ClockEpochs;
   std::vector<VectorClock> LockClocks;   ///< L_l per lock.
-  AccessHistory History;
+  FullHistoryChecker Checker; ///< Sequential-mode checks.
   std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 };

@@ -6,9 +6,9 @@
 // fork/join edges only. A sync-preserving reordering may drop critical
 // sections wholesale, so lock edges prune soundly for WCP but would lose
 // races for SyncP; thread order is the largest order every correct
-// reordering must respect. The AccessHistory over that clock yields the
-// candidate pairs, and the incremental SP-closure checker (SyncPIndex.h)
-// is the exact decision procedure on each.
+// reordering must respect. The full-history check over that clock yields
+// the candidate pairs, and the incremental SP-closure checker
+// (SyncPIndex.h) is the exact decision procedure on each.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,59 +18,10 @@
 
 using namespace rapid;
 
-namespace {
-
-/// Shard-phase engine: same candidate enumeration as the sequential walk
-/// (an AccessHistory over shard-local variable ids), same decision over
-/// the shared read-only index through the shard's own checker. Shards see
-/// their variables' accesses in trace order — so each thread's e2s arrive
-/// in increasing order, as the checker's bases need — and the decision
-/// depends only on the index prefix below the candidate pair, which the
-/// AccessLog commit watermark guarantees is published; the merged sharded
-/// report is bit-for-bit the sequential one.
-class SyncPShardReplayer : public ShardReplayer {
-public:
-  SyncPShardReplayer(const SyncPIndex &Index, SyncPTelemetry &Tel,
-                     uint32_t NumLocalVars, uint32_t NumThreads)
-      : Checker(Index, Tel), History(NumLocalVars, NumThreads) {}
-
-  void replay(const DeferredAccess &A, VarId Local, const VectorClock &Ce,
-              const VectorClock *Hard, std::vector<RaceInstance> &Out) override {
-    (void)Hard; // SyncP defers no hard clock; thread order is Ce itself.
-    Scratch.clear();
-    if (A.IsWrite)
-      History.checkWrite(Local, A.Thread, Ce, A.Loc, A.Idx, Scratch);
-    else
-      History.checkRead(Local, A.Thread, Ce, A.Loc, A.Idx, Scratch);
-    for (RaceInstance &R : Scratch)
-      if (Checker.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx)) {
-        R.Var = A.Var; // Report in parent-trace variable ids.
-        Out.push_back(R);
-      }
-    if (A.IsWrite)
-      History.recordWrite(Local, A.Thread, A.N, A.Loc, A.Idx);
-    else
-      History.recordRead(Local, A.Thread, A.N, A.Loc, A.Idx);
-  }
-
-private:
-  SyncPChecker Checker; ///< This shard's own bases.
-  AccessHistory History;
-  std::vector<RaceInstance> Scratch;
-};
-
-} // namespace
-
-std::unique_ptr<ShardReplayer>
-SyncPShardContext::makeReplayer(uint32_t NumLocalVars,
-                                uint32_t NumThreads) const {
-  return std::make_unique<SyncPShardReplayer>(Index, Tel, NumLocalVars,
-                                              NumThreads);
-}
-
 SyncPDetector::SyncPDetector(const Trace &T)
     : ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
-      ClockEpochs(T.numThreads(), 1), History(T.numVars(), T.numThreads()) {
+      ClockEpochs(T.numThreads(), 1),
+      Checker(Index, Tel, T.numVars(), T.numThreads()) {
   // Local time 1 so "clock 0" unambiguously means "has not seen this
   // thread" (same convention as every other lane).
   for (uint32_t I = 0; I < T.numThreads(); ++I)
@@ -131,17 +82,10 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
       break;
     }
     Scratch.clear();
-    if (IsWrite)
-      History.checkWrite(E.var(), T, Ct, E.Loc, Idx, Scratch);
-    else
-      History.checkRead(E.var(), T, Ct, E.Loc, Idx, Scratch);
+    Checker.check({Idx, E.var(), T, E.Loc, Ct.get(T), IsWrite}, E.var(), Ct,
+                  nullptr, Scratch);
     for (const RaceInstance &R : Scratch)
-      if (Checker.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx))
-        Report.addRace(R);
-    if (IsWrite)
-      History.recordWrite(E.var(), T, Ct.get(T), E.Loc, Idx);
-    else
-      History.recordRead(E.var(), T, Ct.get(T), E.Loc, Idx);
+      Report.addRace(R);
     break;
   }
   }

@@ -30,10 +30,9 @@
 ///                the whole trace instead of O(prefix) per pair;
 ///   shard mode   the checks partition by variable: capture defers them
 ///                into the AccessLog with the thread-order clock as C_e,
-///                and shard drains replay them through a SyncPShardReplayer
-///                that decides the same candidates with its own checker
-///                over the same index (reached via
-///                Detector::shardContext()). Reports are
+///                and each shard drain runs its own SyncPAccessChecker —
+///                the class the sequential walk runs — over the same
+///                shared index (Detector::makeAccessChecker). Reports are
 ///                bit-for-bit identical to the sequential walk for any
 ///                shard count, pinned by the differential fuzzers.
 ///
@@ -46,7 +45,7 @@
 #ifndef RAPID_SYNCP_SYNCPDETECTOR_H
 #define RAPID_SYNCP_SYNCPDETECTOR_H
 
-#include "detect/AccessHistory.h"
+#include "detect/AccessChecker.h"
 #include "detect/Detector.h"
 #include "syncp/SyncPIndex.h"
 #include "vc/VectorClock.h"
@@ -55,21 +54,34 @@
 
 namespace rapid {
 
-/// The detector's ShardContext: hands shard drains a replayer over the
-/// index and telemetry the clock pass owns. Read-only over the index
-/// (synchronized through the AccessLog commit watermark — every access
+/// SyncP's AccessChecker: the full-history candidates (last access per
+/// thread, unordered by thread order), each decided by this checker's own
+/// SyncPChecker over the shared index. A var-sharded drain sees its
+/// variables' accesses in trace order — so each thread's e2s arrive in
+/// increasing order, as the SyncPChecker bases need — and a decision
+/// depends only on the index prefix below the candidate pair, which the
+/// AccessLog commit watermark guarantees is published (every access
 /// record is appended after its event's node).
-class SyncPShardContext : public ShardContext {
+class SyncPAccessChecker final : public AccessChecker {
 public:
-  SyncPShardContext(const SyncPIndex &Index, SyncPTelemetry &Tel)
-      : Index(Index), Tel(Tel) {}
+  SyncPAccessChecker(const SyncPIndex &Index, SyncPTelemetry &Tel,
+                     uint32_t NumVars, uint32_t NumThreads)
+      : Candidates(NumVars, NumThreads), Pairs(Index, Tel) {}
 
-  std::unique_ptr<ShardReplayer>
-  makeReplayer(uint32_t NumLocalVars, uint32_t NumThreads) const override;
+  void check(const DeferredAccess &A, VarId Local, const VectorClock &Ce,
+             const VectorClock *Hard,
+             std::vector<RaceInstance> &Out) override {
+    Scratch.clear();
+    Candidates.check(A, Local, Ce, Hard, Scratch);
+    for (const RaceInstance &R : Scratch)
+      if (Pairs.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx))
+        Out.push_back(R);
+  }
 
 private:
-  const SyncPIndex &Index;
-  SyncPTelemetry &Tel;
+  FullHistoryChecker Candidates;
+  SyncPChecker Pairs;
+  std::vector<RaceInstance> Scratch;
 };
 
 /// Streaming sync-preserving race detector.
@@ -80,15 +92,18 @@ public:
   void processEvent(const Event &E, EventIdx Index) override;
   std::string name() const override { return "SyncP"; }
 
-  /// SyncP's candidate checks partition by variable; the checker reaches
-  /// lane-wide state through shardContext(), so capture mode defers only
-  /// the per-variable candidate enumeration into \p Log.
+  /// SyncP's candidate checks partition by variable; every shard's
+  /// checker reads the lane-wide index in place, so capture mode defers
+  /// only the per-variable candidate enumeration into \p Log.
   bool beginCapture(AccessLog &Log) override {
     Capture = &Log;
     return true;
   }
-  ShardReplay shardReplay() const override { return ShardReplay::SyncPClosure; }
-  const ShardContext *shardContext() const override { return &Ctx; }
+  std::unique_ptr<AccessChecker>
+  makeAccessChecker(uint32_t NumLocalVars, uint32_t NumThreads) const override {
+    return std::make_unique<SyncPAccessChecker>(Index, Tel, NumLocalVars,
+                                                NumThreads);
+  }
 
   void telemetry(std::vector<MetricSample> &Out) const override;
 
@@ -106,10 +121,9 @@ private:
   /// than C_t(t) changes (see HbDetector::ClockEpochs).
   std::vector<uint64_t> ClockEpochs;
   SyncPIndex Index;
-  SyncPTelemetry Tel;
-  SyncPShardContext Ctx{Index, Tel};
-  SyncPChecker Checker{Index, Tel}; ///< Sequential-mode decisions.
-  AccessHistory History; ///< Sequential-mode candidate records.
+  /// Shared by every checker; drains bump it concurrently (atomics).
+  mutable SyncPTelemetry Tel;
+  SyncPAccessChecker Checker; ///< Sequential-mode checks.
   std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 };

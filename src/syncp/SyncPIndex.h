@@ -52,8 +52,8 @@
 
 namespace rapid {
 
-/// Telemetry shared by the sequential checker and every shard replayer's
-/// checker of one detector instance. Relaxed atomics: increments happen on
+/// Telemetry shared by the sequential checker and every shard's checker
+/// of one detector instance. Relaxed atomics: increments happen on
 /// shard drains while Detector::telemetry() reads mid-stream under the
 /// lane snapshot lock — counts are monotone and exact once drains quiesce.
 struct SyncPTelemetry {
@@ -129,9 +129,9 @@ private:
 /// O(N·T) base work per checker, plus the extensions.
 ///
 /// Each checker is single-threaded; the sequential detector and every
-/// shard replayer own one apiece over the shared, read-only index. Every
-/// node a base reaches precedes its e2, so the reader-side visibility
-/// contract of SyncPIndex::node covers it.
+/// shard's SyncPAccessChecker own one apiece over the shared, read-only
+/// index. Every node a base reaches precedes its e2, so the reader-side
+/// visibility contract of SyncPIndex::node covers it.
 class SyncPChecker {
 public:
   SyncPChecker(const SyncPIndex &Index, SyncPTelemetry &Tel)

@@ -16,7 +16,7 @@ using namespace rapid;
 WcpDetector::WcpDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       Threads(T.numThreads(), WcpThreadState(T.numThreads())),
-      Locks(T.numLocks()), History(T.numVars(), T.numThreads()) {
+      Locks(T.numLocks()), Checker(T.numVars(), T.numThreads()) {
   // Initialization (§3.2): N_t = 1, P_t = ⊥, H_t = K_t = ⊥[t := N_t].
   // Lock state (P_ℓ = H_ℓ = ⊥, empty queues) is implicit until first use.
   for (uint32_t I = 0; I < NumThreads; ++I) {
@@ -322,42 +322,25 @@ void WcpDetector::ruleAOnAccess(WcpThreadState &TS, ThreadId T, VarId X,
   TS.CsLog.push_back(static_cast<uint64_t>(X.value()) << 1 | IsWrite);
 }
 
-void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
+void WcpDetector::handleAccess(ThreadId T, VarId X, LocId Loc, EventIdx Index,
+                               bool IsWrite) {
   WcpThreadState &TS = Threads[T.value()];
-  // Line 11: Rule (a): P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}.
-  ruleAOnAccess(TS, T, X, /*IsWrite=*/false);
+  // Lines 11/12: Rule (a): P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x} at a read,
+  // ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}) at a write.
+  ruleAOnAccess(TS, T, X, IsWrite);
 
-  // Race check (§3.2): W_x ⊑ C_e, with C_e = P_t[t := N_t]. The history
-  // check reads only other threads' components, so P_t stands in for C_e.
+  // Race check (§3.2): W_x ⊑ C_e at a read, R_x ⊔ W_x ⊑ C_e at a write,
+  // with C_e = P_t[t := N_t]. The check reads only other threads'
+  // components, so P_t stands in for C_e.
   if (Capture) {
-    Capture->record(Index, X, T, Loc, /*IsWrite=*/false, TS.N, TS.P,
-                    TS.PEpoch, &TS.K, TS.KEpoch);
+    Capture->record(Index, X, T, Loc, IsWrite, TS.N, TS.P, TS.PEpoch, &TS.K,
+                    TS.KEpoch);
     return;
   }
   Scratch.clear();
-  History.checkRead(X, T, TS.P, Loc, Index, Scratch, &TS.K);
+  Checker.check({Index, X, T, Loc, TS.N, IsWrite}, X, TS.P, &TS.K, Scratch);
   for (const RaceInstance &R : Scratch)
     Report.addRace(R);
-  History.recordRead(X, T, TS.N, Loc, Index);
-}
-
-void WcpDetector::handleWrite(ThreadId T, VarId X, LocId Loc,
-                              EventIdx Index) {
-  WcpThreadState &TS = Threads[T.value()];
-  // Line 12: Rule (a): P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}).
-  ruleAOnAccess(TS, T, X, /*IsWrite=*/true);
-
-  // Race check (§3.2): R_x ⊔ W_x ⊑ C_e.
-  if (Capture) {
-    Capture->record(Index, X, T, Loc, /*IsWrite=*/true, TS.N, TS.P,
-                    TS.PEpoch, &TS.K, TS.KEpoch);
-    return;
-  }
-  Scratch.clear();
-  History.checkWrite(X, T, TS.P, Loc, Index, Scratch, &TS.K);
-  for (const RaceInstance &R : Scratch)
-    Report.addRace(R);
-  History.recordWrite(X, T, TS.N, Loc, Index);
 }
 
 void WcpDetector::processEvent(const Event &E, EventIdx Index) {
@@ -389,10 +372,8 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
     handleRelease(T, E.lock());
     return;
   case EventKind::Read:
-    handleRead(T, E.var(), E.Loc, Index);
-    return;
   case EventKind::Write:
-    handleWrite(T, E.var(), E.Loc, Index);
+    handleAccess(T, E.var(), E.Loc, Index, E.Kind == EventKind::Write);
     return;
 
   case EventKind::Fork: {

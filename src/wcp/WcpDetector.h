@@ -40,7 +40,7 @@
 #ifndef RAPID_WCP_WCPDETECTOR_H
 #define RAPID_WCP_WCPDETECTOR_H
 
-#include "detect/AccessHistory.h"
+#include "detect/AccessChecker.h"
 #include "detect/Detector.h"
 #include "wcp/WcpState.h"
 
@@ -61,6 +61,10 @@ public:
   bool beginCapture(AccessLog &Log) override {
     Capture = &Log;
     return true;
+  }
+  std::unique_ptr<AccessChecker>
+  makeAccessChecker(uint32_t NumLocalVars, uint32_t NumThreads) const override {
+    return std::make_unique<FullHistoryChecker>(NumLocalVars, NumThreads);
   }
 
   const WcpStats &stats() const { return Stats; }
@@ -96,8 +100,8 @@ public:
 private:
   void handleAcquire(ThreadId T, LockId L);
   void handleRelease(ThreadId T, LockId L);
-  void handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index);
-  void handleWrite(ThreadId T, VarId X, LocId Loc, EventIdx Index);
+  void handleAccess(ThreadId T, VarId X, LocId Loc, EventIdx Index,
+                    bool IsWrite);
 
   /// Line 4's guard: Acq_ℓ(t).Front() ⊑ C_t, evaluated without
   /// materializing C_t (= P_t except component t, which is N_t).
@@ -140,7 +144,7 @@ private:
   WcpClockVersions Versions;
   /// L^r_{ℓ,x} / L^w_{ℓ,x}, split per releasing thread (see WcpState.h).
   WcpReleaseTable Releases;
-  AccessHistory History;
+  FullHistoryChecker Checker; ///< Sequential-mode checks.
   std::vector<RaceInstance> Scratch;
   std::vector<uint64_t> ReleaseScratch; ///< A section's deduplicated R/W.
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "api/AnalysisSession.h"
 #include "cp/CpEngine.h"
 #include "detect/DetectorRunner.h"
 #include "gen/PaperTraces.h"
@@ -40,6 +41,23 @@ TEST_P(FastTrackTest, AgreesWithHbOnRacyVariables) {
   // Every FastTrack pair is an HB pair.
   for (const RaceInstance &I : Ft.instances())
     EXPECT_TRUE(Hb.hasPair(I.pair())) << I.str(T);
+  // The same guarantee for var-sharded FastTrack, held against sequential
+  // HB rather than against sequential FastTrack (which runs the same
+  // epoch checker as the shards).
+  for (uint32_t Shards : {1u, 2u, 4u, 8u}) {
+    AnalysisConfig Cfg;
+    Cfg.addDetector(DetectorKind::FastTrack);
+    Cfg.Mode = RunMode::VarSharded;
+    Cfg.VarShards = Shards;
+    Cfg.Threads = 2;
+    AnalysisResult R = analyzeTrace(Cfg, T);
+    ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
+    const RaceReport &Sharded = R.Lanes.at(0).Report;
+    EXPECT_EQ(testutil::racyVars(Hb, T), testutil::racyVars(Sharded, T))
+        << Shards << " shards";
+    for (const RaceInstance &I : Sharded.instances())
+      EXPECT_TRUE(Hb.hasPair(I.pair())) << Shards << " shards: " << I.str(T);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, FastTrackTest,

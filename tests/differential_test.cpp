@@ -125,10 +125,10 @@ TEST_P(DifferentialFuzzTest, ShardedWcpMatchesSequentialBitForBit) {
 }
 
 // FastTrack's epoch checks also partition by variable; its capture mode
-// defers them into the shard phase's epoch replayer. Same contract, same
+// defers them into per-shard FastTrackCheckers. Same contract, same
 // harness: bit-identical to the sequential FastTrack run for any shard
 // count (including the epoch-mode shortcuts and the read-vector
-// promotions, which now happen inside the shards).
+// promotions, which then happen inside the shards).
 TEST_P(DifferentialFuzzTest, ShardedFastTrackMatchesSequentialBitForBit) {
   for (bool ForkJoin : {false, true}) {
     Trace T = randomTrace(fuzzParams(GetParam() ^ 0x77aa, ForkJoin));
@@ -141,11 +141,12 @@ TEST_P(DifferentialFuzzTest, ShardedFastTrackMatchesSequentialBitForBit) {
   }
 }
 
-// SyncP's shard phase replays each deferred access against a per-shard
-// AccessHistory over the TO prefilter clock and re-decides every candidate
-// with the exact SP-closure (through the detector-owned ShardContext) — a
-// completely different code path from the sequential walk, held to the
-// same bit-for-bit contract.
+// SyncP's shard phase runs each deferred access through a per-shard
+// SyncPAccessChecker: candidates from the TO prefilter clock, each decided
+// by the shard's own SP-closure checker over the detector's shared index.
+// The sequential walk runs the same checker class, so this pins what the
+// two paths do not share — the capture pass, the index read behind the
+// commit watermark, the partition and the merge.
 TEST_P(DifferentialFuzzTest, ShardedSyncPMatchesSequentialBitForBit) {
   for (bool ForkJoin : {false, true}) {
     Trace T = randomTrace(fuzzParams(GetParam() ^ 0x3b3b, ForkJoin));

@@ -20,7 +20,9 @@
 //
 // Binary locations arrive via RACE_SERVERD / RACE_CLI / RACE_INTERPOSE /
 // RACE_DEMO (wired by CMake through `cmake -E env`); when absent (e.g.
-// running the gtest binary by hand) the tests skip.
+// running the gtest binary by hand) the tests skip. In an ASan build
+// RACE_ASAN_RUNTIME names the sanitizer runtime, which must come first in
+// the demo's LD_PRELOAD.
 //
 //===----------------------------------------------------------------------===//
 
@@ -180,7 +182,12 @@ struct Paths {
   const char *Cli = envOrNull("RACE_CLI");
   const char *Interpose = envOrNull("RACE_INTERPOSE");
   const char *Demo = envOrNull("RACE_DEMO");
+  const char *AsanRuntime = envOrNull("RACE_ASAN_RUNTIME");
   bool complete() const { return Serverd && Cli && Interpose && Demo; }
+  std::string preload() const {
+    return AsanRuntime ? std::string(AsanRuntime) + ":" + Interpose
+                       : std::string(Interpose);
+  }
 };
 
 } // namespace
@@ -206,7 +213,7 @@ TEST(ServeE2eTest, InterposedDemoMatchesOfflineReplayBitForBit) {
   ASSERT_TRUE(Ctl.sendHello().ok());
 
   // A long-enough run that mid-stream queries land while it is live.
-  pid_t Demo = spawn({P.Demo}, {{"LD_PRELOAD", P.Interpose},
+  pid_t Demo = spawn({P.Demo}, {{"LD_PRELOAD", P.preload()},
                                 {"RACE_SERVER", Sock},
                                 {"RACE_RECORD", Rec},
                                 {"RACE_FLUSH_MS", "20"},
